@@ -1,6 +1,6 @@
-"""Benchmark the macro-stepping engine against the per-step oracle.
+"""Benchmark the wave engine against the per-step oracle.
 
-The acceptance criterion of the macro engine (`repro.serving.engine`): on
+The acceptance criterion of the wave engine (`repro.serving.engine`): on
 a 100,000-request mixed trace — steady interactive Poisson traffic with a
 long-tailed output-length mix — compressing constant-composition decode
 runs must beat the one-Python-iteration-per-step loop by >= 10x
@@ -13,7 +13,7 @@ work, so the measured gap is the decode-loop compression, not a caching
 artefact.
 
 Feeds ``BENCH_results.json`` (via ``benchmarks/run.py``) with the
-``serving_macro_100k`` scenario, which records the speedup ratio.
+``serving_wave_100k`` scenario, which records the speedup ratio.
 """
 
 import time
@@ -48,14 +48,14 @@ def bench_trace():
 
 
 def _measure():
-    """(macro result, step result, macro seconds, step seconds)."""
+    """(wave result, step result, wave seconds, step seconds)."""
     model = get_mllm("sphinx-tiny")
     trace = bench_trace()
 
     # Untimed warm-up fills the engine-independent cost memos once; both
     # timed chips then start from identical caches.
     warm = ContinuousBatchingSimulator(
-        model=model, max_batch_size=MAX_BATCH_SIZE, engine="macro"
+        model=model, max_batch_size=MAX_BATCH_SIZE, engine="wave"
     )
     warm.run(trace)
 
@@ -68,52 +68,52 @@ def _measure():
         chip.cost_model.seed_step_cache(warm.cost_model.step_cache())
         return chip
 
-    macro_chip = seeded("macro")
+    wave_chip = seeded("wave")
     start = time.perf_counter()
-    macro = macro_chip.run(trace)
-    macro_seconds = time.perf_counter() - start
+    wave = wave_chip.run(trace)
+    wave_seconds = time.perf_counter() - start
 
     step_chip = seeded("step")
     start = time.perf_counter()
     step = step_chip.run(trace)
     step_seconds = time.perf_counter() - start
-    return macro, step, macro_seconds, step_seconds
+    return wave, step, wave_seconds, step_seconds
 
 
-def run_macro_100k() -> dict:
+def run_wave_100k() -> dict:
     """Time both engines on the 100k trace and report the speedup ratio."""
-    macro, step, macro_seconds, step_seconds = _measure()
+    wave, step, wave_seconds, step_seconds = _measure()
     return {
         "requests": N_REQUESTS,
-        "decode_steps": macro.decode_steps,
-        "identical_records": macro.records == step.records,
-        "macro_seconds": macro_seconds,
+        "decode_steps": wave.decode_steps,
+        "identical_records": wave.records == step.records,
+        "wave_seconds": wave_seconds,
         "step_seconds": step_seconds,
-        "speedup": step_seconds / macro_seconds,
+        "speedup": step_seconds / wave_seconds,
     }
 
 
-def test_bench_macro_engine_10x_over_per_step_loop():
-    macro, step, macro_seconds, step_seconds = _measure()
+def test_bench_wave_engine_10x_over_per_step_loop():
+    wave, step, wave_seconds, step_seconds = _measure()
 
     # Identity first: the speedup is worthless if a single record moved.
-    assert macro.records == step.records
-    assert macro.peak_batch_size == step.peak_batch_size
-    assert macro.decode_steps == step.decode_steps
-    assert len(macro.records) == N_REQUESTS
+    assert wave.records == step.records
+    assert wave.peak_batch_size == step.peak_batch_size
+    assert wave.decode_steps == step.decode_steps
+    assert len(wave.records) == N_REQUESTS
 
-    speedup = step_seconds / macro_seconds
+    speedup = step_seconds / wave_seconds
     print(
-        f"\nmacro engine: {macro_seconds:.2f} s | per-step loop: "
+        f"\nwave engine: {wave_seconds:.2f} s | per-step loop: "
         f"{step_seconds:.2f} s | speedup {speedup:.1f}x over "
-        f"{macro.decode_steps} decode steps"
+        f"{wave.decode_steps} decode steps"
     )
     assert speedup >= N_TARGET_SPEEDUP, (
-        f"macro-engine speedup {speedup:.1f}x below the "
+        f"wave-engine speedup {speedup:.1f}x below the "
         f"{N_TARGET_SPEEDUP}x target"
     )
 
 
 SCENARIOS = {
-    "serving_macro_100k": run_macro_100k,
+    "serving_wave_100k": run_wave_100k,
 }

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ..scenarios.registry import get_scenario
-from ..serving.queue import ENGINES
+from ..serving.queue import DEFAULT_ENGINE, ENGINES
 from .plan import GOLDEN_PLAN_SCENARIOS, SEARCH_MODES, plan_scenario, resolve_slo
 from .report import format_plan_report
 from .space import PlannerConfig, parse_mixes
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulate surviving candidates across N processes",
     )
     plan.add_argument(
-        "--engine", choices=ENGINES, default="macro",
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
         help="decode-loop implementation survivors replay through "
         "(reports are engine-independent; 'step' is the slow oracle)",
     )

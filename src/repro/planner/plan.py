@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.simulator import PerformanceSimulator
 from ..scenarios.compile import compile_scenario
 from ..scenarios.spec import ScenarioSpec, SLOSpec
-from ..serving.queue import ServingRequest
+from ..serving.queue import DEFAULT_ENGINE, ServingRequest
 from .bnb import bnb_prune_designs
 from .evaluate import (
     CandidateOutcome,
@@ -160,7 +160,7 @@ def plan_scenario(
     slo: Optional[SLOSpec] = None,
     prune: bool = True,
     processes: Optional[int] = None,
-    engine: str = "macro",
+    engine: str = DEFAULT_ENGINE,
     search: str = "flat",
     store: Optional[PlanStore] = None,
     require_chip_loss: bool = False,
@@ -175,7 +175,7 @@ def plan_scenario(
     results are identical to the serial path because every worker derives
     the bit-identical trace from the spec hash; ``engine`` selects the
     decode-loop implementation survivors replay through (reports are
-    engine-independent — the macro default just gets there faster).
+    engine-independent — the wave default just gets there faster).
 
     ``search`` picks the pruning strategy: ``"flat"`` bounds every design
     individually, ``"bnb"`` branch-and-bounds nested subgrids and prices

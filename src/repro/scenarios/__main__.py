@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..serving.dispatch import RUNTIMES
-from ..serving.queue import ENGINES
+from ..serving.queue import DEFAULT_ENGINE, ENGINES
 from .registry import available_scenarios, get_scenario
 from .report import format_scenario_report
 from .runner import run_scenario
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the canonical JSON report"
     )
     run.add_argument(
-        "--engine", choices=ENGINES, default="macro",
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
         help="decode-loop implementation (reports are engine-independent; "
         "'step' is the slow per-step oracle)",
     )
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(
     name: str,
     as_json: bool,
-    engine: str = "macro",
+    engine: str = DEFAULT_ENGINE,
     runtime: str = "batch",
     chaos_seed: Optional[int] = None,
     max_retries: Optional[int] = None,

@@ -24,6 +24,7 @@ from ..serving.autoscale import (
 )
 from ..serving.faults import fault_recovery
 from ..serving.fleet import FleetSimulator
+from ..serving.queue import DEFAULT_ENGINE
 from .compile import CompiledScenario, compile_scenario
 from .report import (
     AutoscaleSummary,
@@ -62,13 +63,13 @@ def autoscaler_config(spec: ScenarioSpec) -> Optional[AutoscalerConfig]:
 def build_fleet(
     spec: ScenarioSpec,
     *,
-    engine: str = "macro",
+    engine: str = DEFAULT_ENGINE,
 ) -> Union[FleetSimulator, AutoscalingFleetSimulator]:
     """Instantiate the fleet ``spec``'s :class:`FleetSpec` describes.
 
     ``engine`` selects the chips' decode-loop implementation (see
     :data:`repro.serving.queue.ENGINES`); reports are engine-independent,
-    the macro default just simulates faster.
+    the wave default just simulates faster.
     """
     model = get_mllm(spec.fleet.model)
     controller = autoscaler_config(spec)
@@ -138,7 +139,7 @@ def scenario_run_kwargs(compiled: CompiledScenario, fleet) -> dict:
 
 
 def run_scenario(
-    spec: ScenarioSpec, *, engine: str = "macro", runtime: str = "batch"
+    spec: ScenarioSpec, *, engine: str = DEFAULT_ENGINE, runtime: str = "batch"
 ) -> ScenarioReport:
     """Compile and run one scenario ``spec`` end to end.
 

@@ -54,7 +54,7 @@ from .metrics import (
     summarize,
     summarize_scalar,
 )
-from .engine import run_macro, run_wave
+from .engine import run_wave
 from .fleet import simulate_chip_shard
 from .trace import (
     TRACE_DTYPE,
@@ -65,6 +65,7 @@ from .trace import (
     validate_trace_array,
 )
 from .queue import (
+    DEFAULT_ENGINE,
     ENGINES,
     BatchDecodeCostModel,
     ContinuousBatchingSimulator,
@@ -110,11 +111,11 @@ __all__ = [
     "summarize_scalar",
     "BatchDecodeCostModel",
     "ContinuousBatchingSimulator",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "ServingRequest",
     "ServingResult",
     "build_trace",
-    "run_macro",
     "run_wave",
     "simulate_chip_shard",
     "RUNTIMES",

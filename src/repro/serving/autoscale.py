@@ -36,7 +36,7 @@ from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
 from .fleet import FleetSimulator
 from .metrics import RequestRecord, ServingReport, empty_report, summarize
-from .queue import ServingRequest, ServingResult
+from .queue import DEFAULT_ENGINE, ServingRequest, ServingResult
 
 ADMISSION_POLICIES: Tuple[str, ...] = ("queue", "reject")
 
@@ -189,7 +189,7 @@ class AutoscalingFleetSimulator(FleetSimulator):
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
         precompute: bool = True,
-        engine: str = "macro",
+        engine: str = DEFAULT_ENGINE,
         processes: Optional[int] = None,
     ) -> None:
         super().__init__(

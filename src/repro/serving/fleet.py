@@ -28,7 +28,12 @@ from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest, MLLMConfig
 from ..models.ops import merge_phases
 from .metrics import RequestRecord, ServingReport, summarize
-from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
+from .queue import (
+    DEFAULT_ENGINE,
+    ContinuousBatchingSimulator,
+    ServingRequest,
+    ServingResult,
+)
 
 POLICIES: Tuple[str, ...] = ("round_robin", "least_loaded")
 
@@ -114,7 +119,7 @@ class FleetSimulator:
         cc_bandwidth_fraction: float = 0.5,
         context_bucket: int = 32,
         precompute: bool = True,
-        engine: str = "macro",
+        engine: str = DEFAULT_ENGINE,
         processes: Optional[int] = None,
     ) -> None:
         if n_chips < 1:

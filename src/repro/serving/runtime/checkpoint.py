@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..dispatch import request_to_state
-from ..queue import ServingRequest
+from ..queue import ENGINES, ServingRequest
 
 #: Format marker written into every checkpoint file.
 CHECKPOINT_VERSION = 1
@@ -103,7 +103,8 @@ class Checkpoint:
         """Rebuild a checkpoint from :meth:`to_dict` data.
 
         Raises :class:`CheckpointError` on any malformed payload —
-        missing or mistyped fields, or an unsupported format version.
+        missing or mistyped fields, an unsupported format version, or an
+        engine outside :data:`~repro.serving.queue.ENGINES`.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -122,9 +123,14 @@ class Checkpoint:
                 f"unsupported checkpoint version {version} "
                 f"(this build reads version {CHECKPOINT_VERSION})"
             )
+        engine = data.get("engine")
+        if engine is not None and engine not in ENGINES:
+            raise CheckpointError(
+                f"checkpoint engine {engine!r} is not supported "
+                f"(supported engines: {', '.join(ENGINES)})"
+            )
         try:
             scenario = data.get("scenario")
-            engine = data.get("engine")
             return cls(
                 kind=str(data["kind"]),
                 cursor=int(data["cursor"]),

@@ -52,7 +52,7 @@ from typing import (
 )
 
 from ..dispatch import make_controller, request_from_state, sorted_order
-from ..queue import ServingRequest
+from ..queue import DEFAULT_ENGINE, ServingRequest
 from .actors import DEFAULT_BATCH_SIZE, IngestionActor, SupervisorActor
 from .chaos import (
     DEFAULT_HANG_UNIT_S,
@@ -250,7 +250,7 @@ def resume_live(
 def run_scenario_live(
     spec,
     *,
-    engine: str = "macro",
+    engine: str = DEFAULT_ENGINE,
     pace: Optional[float] = None,
     pause_after: Optional[int] = None,
 ) -> Union[Any, Checkpoint]:
@@ -314,7 +314,7 @@ def resume_scenario(
             "resume_live against the original fleet and trace"
         )
     spec = ScenarioSpec.from_dict(checkpoint.scenario)
-    engine = checkpoint.engine or "macro"
+    engine = checkpoint.engine or DEFAULT_ENGINE
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec, engine=engine)
     outcome = resume_live(
@@ -377,7 +377,7 @@ def requests_from_lines(lines: Iterable[str]) -> List[ServingRequest]:
 def run_scenario_supervised(
     spec,
     *,
-    engine: str = "macro",
+    engine: str = DEFAULT_ENGINE,
     chaos: Optional[ChaosSchedule] = None,
     supervision: Optional[SupervisionConfig] = None,
     hang_unit_s: float = DEFAULT_HANG_UNIT_S,

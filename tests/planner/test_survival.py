@@ -76,7 +76,7 @@ class TestSurvivalProbe:
                 SPEC, compiled.trace, design, option, SPEC.slo.targets(),
                 engine=engine,
             )
-            for engine in ("step", "macro", "wave")
+            for engine in ("step", "wave")
         }
         assert len(verdicts) == 1  # all engines agree, run to run too
 

@@ -2,8 +2,8 @@
 
 A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
-an unsupported version, missing or mistyped fields, a wrong trace
-digest, tampered controller state — must surface as a single
+an unsupported version, missing or mistyped fields, an unsupported
+engine, a wrong trace digest, tampered controller state — must surface as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
 silently wrong resume.  ``Checkpoint.load`` additionally prefixes the
@@ -80,6 +80,16 @@ CORRUPTIONS = [
     ),
     pytest.param(
         _mutate("controller", "not a dict"), "wrong type", id="mistyped-controller"
+    ),
+    pytest.param(
+        _mutate("engine", "turbo"),
+        r"checkpoint engine 'turbo' is not supported \(supported engines: step, wave\)",
+        id="unknown-engine",
+    ),
+    pytest.param(
+        _mutate("engine", "macro"),
+        r"checkpoint engine 'macro' is not supported \(supported engines: step, wave\)",
+        id="legacy-macro-engine",
     ),
 ]
 

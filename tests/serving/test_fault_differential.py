@@ -8,7 +8,7 @@ tuples (no tolerances — the fault path is bit-identical or broken):
   engine, both dispatch policies and the autoscaled fleet.  This is what
   lets the fault machinery ship inside the serving engines without
   perturbing a single committed golden.
-* **engine equivalence under faults** — step, macro and wave runs of the
+* **engine equivalence under faults** — step and wave runs of the
   same faulted trace produce identical records, assignments and scaling
   events.  Era splits are computed from engine-independent prefill
   windows, so the equivalence the engines already guarantee per era
@@ -155,14 +155,11 @@ class TestEngineEquivalenceUnderFaults:
             ).run(trace, faults=schedule)
             for engine in ENGINES
         }
-        reference = results["step"]
-        for engine in ("macro", "wave"):
-            assert results[engine].records == reference.records, engine
-            assert results[engine].assignments == reference.assignments, engine
-            assert (
-                results[engine].redispatched_ids == reference.redispatched_ids
-            ), engine
-            assert results[engine].aborted_ids == reference.aborted_ids, engine
+        wave, step = results["wave"], results["step"]
+        assert wave.records == step.records
+        assert wave.assignments == step.assignments
+        assert wave.redispatched_ids == step.redispatched_ids
+        assert wave.aborted_ids == step.aborted_ids
 
     @given(seed=seeds)
     @settings(max_examples=4, deadline=None)
@@ -175,9 +172,8 @@ class TestEngineEquivalenceUnderFaults:
             ).run(trace, faults=schedule)
             for engine in ENGINES
         }
-        reference = results["step"]
-        for engine in ("macro", "wave"):
-            assert results[engine].records == reference.records, engine
-            assert results[engine].assignments == reference.assignments, engine
-            assert results[engine].rejected_ids == reference.rejected_ids, engine
-            assert results[engine].events == reference.events, engine
+        wave, step = results["wave"], results["step"]
+        assert wave.records == step.records
+        assert wave.assignments == step.assignments
+        assert wave.rejected_ids == step.rejected_ids
+        assert wave.events == step.events

@@ -1,20 +1,25 @@
-"""Wave engine: three-way bit-identity across wave, macro and step.
+"""Wave engine: bit-identity against the per-step oracle.
 
-The wave engine batches the admission-cutoff walk into one array pass and
-consumes columnar traces, but its contract is the macro engine's: exact
-``==`` equivalence with the per-step oracle.  Every test here asserts
-equality of ``RequestRecord`` tuples and peak-batch/decode-step counters
-across all three engines — on randomized composition-churning traces over
-batch sizes, bucket widths and fleet sizes — plus scale-event equality
-when the autoscaler drives fleets under ``engine="wave"``.
+The wave engine compresses constant-composition runs of decode steps,
+batches the admission-cutoff walk into one array pass and consumes
+columnar traces, but its contract is exact ``==`` equivalence with the
+per-step oracle.  Every test here is an equality assertion, not a
+tolerance: randomized traces (arrival process, request mixes, batch
+sizes, bucket widths) must produce ``==``-identical ``RequestRecord``
+tuples, peak-batch/decode-step counters, fleet traces and autoscaler
+scaling decisions, whichever engine runs the decode loop.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import context_bucket_for
 from repro.models.mllm import get_mllm
 from repro.serving import (
+    DEFAULT_ENGINE,
+    ENGINES,
     AutoscalerConfig,
     AutoscalingFleetSimulator,
     BurstyArrivals,
@@ -25,11 +30,16 @@ from repro.serving import (
     build_trace,
     trace_to_array,
 )
+from repro.serving.trace import TRACE_DTYPE
 
 MODEL = get_mllm("sphinx-tiny")
 
-#: Shared cost-cache donor, as in test_macro_engine: seeding moves work,
-#: never values, so every engine of a comparison gets identical caches.
+#: Shared cost-cache donor: every chip in this module prices the same
+#: model on the same default system, and the CC-latency / bucket-cost /
+#: step memos are independent of batch size and bucket width, so chips
+#: seed from (and harvest back into) one pool.  Seeding only moves work,
+#: never values — both engines of a pair get identical caches, keeping
+#: each comparison fair.
 _DONOR = {
     "cc": {},
     "buckets": {},
@@ -56,10 +66,10 @@ def _harvest(chip):
     _DONOR["steps"].update(chip.cost_model.step_cache())
 
 
-def run_three(trace, *, max_batch_size=8, context_bucket=32):
-    """(wave, macro, step) results of the same trace on triplet chips."""
+def run_both(trace, *, max_batch_size=8, context_bucket=32):
+    """(wave result, step result) of the same trace on twin chips."""
     results = []
-    for engine in ("wave", "macro", "step"):
+    for engine in ("wave", "step"):
         chip = _chip(
             engine,
             max_batch_size=max_batch_size,
@@ -102,6 +112,82 @@ def make_trace(
     return build_trace(arrivals.generate(n), sampler.sample(n))
 
 
+def _simultaneous_arrivals():
+    base = make_trace(24, seed=3, rate=6.0)
+    times = [0.0] * 8 + [t for t in range(1, 9) for _ in (0, 1)]
+    return build_trace(
+        [float(t) for t in times], [r.request for r in base[: len(times)]]
+    )
+
+
+#: Deterministic edge traces: (trace builder, chip overrides).
+EDGE_CASES = {
+    "single-request": (lambda: make_trace(1, seed=0), {}),
+    "single-token-outputs": (
+        lambda: make_trace(40, seed=1, rate=20.0, output_choices=(1,)),
+        {},
+    ),
+    "serial-batch-of-one": (
+        lambda: make_trace(30, seed=2, rate=8.0),
+        {"max_batch_size": 1},
+    ),
+    "simultaneous-arrivals": (_simultaneous_arrivals, {"max_batch_size": 3}),
+    # build_trace assigns ids positionally; feed the simulator a trace
+    # whose list order disagrees with arrival order.
+    "unsorted-trace-positions": (
+        lambda: list(reversed(make_trace(30, seed=4, rate=10.0))),
+        {},
+    ),
+    # Bucket width 256 with a slow trickle of arrivals produces runs
+    # longer than NUMPY_FOLD_MIN, covering the np.add.accumulate path.
+    "wide-bucket-numpy-fold": (
+        lambda: make_trace(8, seed=5, rate=0.05, output_choices=(200, 256)),
+        {"context_bucket": 256},
+    ),
+    # Runs between ACCUMULATE_FOLD_MIN and NUMPY_FOLD_MIN fold through
+    # itertools.accumulate.
+    "medium-bucket-accumulate-fold": (
+        lambda: make_trace(12, seed=6, rate=0.2, output_choices=(24, 40)),
+        {"context_bucket": 32},
+    ),
+    # A slow trickle of long decodes: admissions land mid-run, with runs
+    # long past SEARCH_CUTOFF_MIN, so the vectorised cutoff (not the
+    # scalar walk) picks the admission boundary.
+    "long-walk-searchsorted-cutoff": (
+        lambda: make_trace(10, seed=5, rate=0.05, output_choices=(200, 256)),
+        {"context_bucket": 256},
+    ),
+}
+
+
+class TestEngineSelection:
+    def test_engines_tuple_and_default(self):
+        assert ENGINES == ("step", "wave")
+        assert DEFAULT_ENGINE == "wave"
+        assert ContinuousBatchingSimulator(model=MODEL).engine == DEFAULT_ENGINE
+
+    @pytest.mark.parametrize("engine", ["warp", "macro"])
+    def test_rejects_unknown_engine(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            ContinuousBatchingSimulator(model=MODEL, engine=engine)
+
+    def test_fleet_forwards_engine_to_chips(self):
+        fleet = FleetSimulator(MODEL, n_chips=2, engine="step")
+        assert all(chip.engine == "step" for chip in fleet.chips)
+        default = FleetSimulator(MODEL, n_chips=1).chips[0].engine
+        assert default == DEFAULT_ENGINE
+
+
+class TestInlinedBucketArithmetic:
+    def test_matches_the_canonical_quantizer(self):
+        # The engine inlines context_bucket_for's arithmetic in its hot
+        # loop; the two definitions must never drift.
+        for width in (1, 2, 3, 7, 16, 32, 64, 131):
+            for context in list(range(0, 4 * width + 2)) + [10**6, 10**6 + 1]:
+                inlined = ((max(context, 1) + width - 1) // width) * width
+                assert inlined == context_bucket_for(context, width)
+
+
 class TestPropertyEquivalence:
     @given(
         n=st.integers(min_value=1, max_value=90),
@@ -113,7 +199,7 @@ class TestPropertyEquivalence:
         images=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=30, deadline=None)
-    def test_wave_equals_macro_equals_step(
+    def test_wave_equals_step(
         self, n, seed, rate, bursty, max_batch, bucket, images
     ):
         # Mixed output lengths churn the batch composition constantly —
@@ -122,11 +208,10 @@ class TestPropertyEquivalence:
         trace = make_trace(
             n, seed=seed, rate=rate, bursty=bursty, images=images
         )
-        wave, macro, step = run_three(
+        wave, step = run_both(
             trace, max_batch_size=max_batch, context_bucket=bucket
         )
         assert_identical(wave, step)
-        assert_identical(macro, step)
 
     @given(
         n=st.integers(min_value=1, max_value=60),
@@ -161,35 +246,12 @@ class TestPropertyEquivalence:
 
 
 class TestDeterministicEdges:
-    def test_single_request(self):
-        wave, macro, step = run_three(make_trace(1, seed=0))
-        assert_identical(wave, step)
-
-    def test_serial_batch_of_one(self):
-        trace = make_trace(30, seed=2, rate=8.0)
-        wave, _, step = run_three(trace, max_batch_size=1)
-        assert_identical(wave, step)
-
-    def test_long_walk_exercises_the_searchsorted_cutoff(self):
-        # A slow trickle of long decodes: admissions land mid-run, with
-        # runs long past SEARCH_CUTOFF_MIN, so the vectorised cutoff (not
-        # the scalar walk) picks the admission boundary.
-        trace = make_trace(
-            10, seed=5, rate=0.05, output_choices=(200, 256)
-        )
-        wave, _, step = run_three(trace, context_bucket=256)
-        assert_identical(wave, step)
-
-    def test_unsorted_trace_positions(self):
-        trace = list(reversed(make_trace(30, seed=4, rate=10.0)))
-        wave, _, step = run_three(trace)
-        assert_identical(wave, step)
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_wave_equals_step(self, case):
+        build, chip_kwargs = EDGE_CASES[case]
+        assert_identical(*run_both(build(), **chip_kwargs))
 
     def test_empty_trace_rejected(self):
-        import numpy as np
-
-        from repro.serving.trace import TRACE_DTYPE
-
         chip = _chip("wave")
         with pytest.raises(ValueError, match="empty"):
             chip.run([])

@@ -299,10 +299,10 @@ class TestCheckMode:
         assert f"warning: {drift}" in out
         assert "--check passed" in out
 
-    def test_committed_results_include_the_macro_benchmark(self):
+    def test_committed_results_include_the_wave_vs_step_benchmark(self):
         committed = HARNESS_PATH.parent / "BENCH_results.json"
         data = json.loads(committed.read_text())
-        record = data["scenarios"]["serving_macro_100k"]
+        record = data["scenarios"]["serving_wave_100k"]
         assert record["requests"] == 100000
         assert record["identical_records"] is True
         # The committed trajectory must show the >= 10x acceptance headline.
