@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.scenarios.registry import get_scenario
+from repro.serving.queue import ENGINES
 from repro.serving.runtime import (
     Checkpoint,
     CheckpointError,
@@ -133,3 +134,15 @@ class TestResumeGuards:
         path = checkpoint.save(tmp_path / "good.json")
         report = resume_scenario(Checkpoint.load(path))
         assert report.n_completed == get_scenario("chat-poisson").n_requests
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_supported_engine_resumes(self, checkpoint, engine):
+        # The accepting side of the engine check: a checkpoint naming any
+        # supported engine loads and resumes to the engine-independent
+        # report.
+        data = checkpoint.to_dict()
+        data["engine"] = engine
+        restored = Checkpoint.from_json(json.dumps(data))
+        assert restored.engine == engine
+        report = resume_scenario(restored)
+        assert report == resume_scenario(checkpoint)

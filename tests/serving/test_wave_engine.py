@@ -10,6 +10,8 @@ tuples, peak-batch/decode-step counters, fleet traces and autoscaler
 scaling decisions, whichever engine runs the decode loop.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,12 @@ from hypothesis import strategies as st
 
 from repro.core.batch import context_bucket_for
 from repro.models.mllm import get_mllm
+from repro.planner import evaluate as planner_evaluate
+from repro.planner.__main__ import _build_parser as planner_parser
+from repro.planner.plan import plan_scenario
+from repro.scenarios import runner as scenario_runner
+from repro.scenarios.__main__ import _build_parser as scenarios_parser
+from repro.scenarios.__main__ import _run as scenarios_cli_run
 from repro.serving import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -29,6 +37,11 @@ from repro.serving import (
     RequestSampler,
     build_trace,
     trace_to_array,
+)
+from repro.serving.engine import prefill_windows
+from repro.serving.runtime.service import (
+    run_scenario_live,
+    run_scenario_supervised,
 )
 from repro.serving.trace import TRACE_DTYPE
 
@@ -176,6 +189,77 @@ class TestEngineSelection:
         assert all(chip.engine == "step" for chip in fleet.chips)
         default = FleetSimulator(MODEL, n_chips=1).chips[0].engine
         assert default == DEFAULT_ENGINE
+
+
+#: Every public entry point that takes an ``engine`` argument; each must
+#: default to the one :data:`DEFAULT_ENGINE` rather than a literal.
+ENGINE_DEFAULT_SITES = {
+    "ContinuousBatchingSimulator": ContinuousBatchingSimulator,
+    "FleetSimulator": FleetSimulator,
+    "AutoscalingFleetSimulator": AutoscalingFleetSimulator,
+    "build_fleet": scenario_runner.build_fleet,
+    "run_scenario": scenario_runner.run_scenario,
+    "scenarios-cli-run": scenarios_cli_run,
+    "plan_scenario": plan_scenario,
+    "candidate_fleet": planner_evaluate.candidate_fleet,
+    "evaluate_candidate": planner_evaluate.evaluate_candidate,
+    "candidate_survives_chip_loss": planner_evaluate.candidate_survives_chip_loss,
+    "simulate_candidate": planner_evaluate.simulate_candidate,
+    "run_scenario_live": run_scenario_live,
+    "run_scenario_supervised": run_scenario_supervised,
+}
+
+#: Each CLI's argv prefix up to its ``--engine`` flag.
+ENGINE_CLIS = {
+    "scenarios": (scenarios_parser, ["run", "chat-poisson"]),
+    "planner": (planner_parser, ["plan", "chat-poisson"]),
+}
+
+
+class TestDefaultEngineNamedOnce:
+    @pytest.mark.parametrize("site", list(ENGINE_DEFAULT_SITES))
+    def test_engine_parameter_defaults_to_default_engine(self, site):
+        engine = inspect.signature(ENGINE_DEFAULT_SITES[site]).parameters["engine"]
+        assert engine.default == DEFAULT_ENGINE
+
+    @pytest.mark.parametrize("cli", list(ENGINE_CLIS))
+    def test_cli_engine_flag_defaults_to_default_engine(self, cli):
+        build, argv = ENGINE_CLIS[cli]
+        assert build().parse_args(argv).engine == DEFAULT_ENGINE
+
+    @pytest.mark.parametrize("cli", list(ENGINE_CLIS))
+    def test_cli_rejects_the_macro_engine(self, cli, capsys):
+        build, argv = ENGINE_CLIS[cli]
+        with pytest.raises(SystemExit):
+            build().parse_args(argv + ["--engine", "macro"])
+        assert "invalid choice: 'macro'" in capsys.readouterr().err
+
+
+#: ``(arrivals, latencies) -> (starts, ends)`` of the serial CC pipeline,
+#: worked by hand on dyadic floats so every sum is exact.
+PREFILL_CASES = {
+    "empty": (([], []), ([], [])),
+    "idle-gaps": (([1.0, 5.0], [2.0, 1.0]), ([1.0, 5.0], [3.0, 6.0])),
+    "queued-behind-previous": (
+        ([0.0, 0.5, 1.0], [2.0, 2.0, 0.25]),
+        ([0.0, 2.0, 4.0], [2.0, 4.0, 4.25]),
+    ),
+    "simultaneous-arrivals": (
+        ([3.0, 3.0, 3.0], [0.5, 0.5, 0.5]),
+        ([3.0, 3.5, 4.0], [3.5, 4.0, 4.5]),
+    ),
+    "arrival-at-previous-end": (
+        ([0.0, 2.0, 2.0], [2.0, 1.0, 0.5]),
+        ([0.0, 2.0, 3.0], [2.0, 3.0, 3.5]),
+    ),
+}
+
+
+class TestPrefillWindows:
+    @pytest.mark.parametrize("case", list(PREFILL_CASES))
+    def test_serial_cc_recurrence(self, case):
+        (arrivals, latencies), expected = PREFILL_CASES[case]
+        assert prefill_windows(arrivals, latencies) == expected
 
 
 class TestInlinedBucketArithmetic:
