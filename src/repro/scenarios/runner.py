@@ -118,24 +118,13 @@ def price_offered_load(
     )
 
 
-def scenario_run_kwargs(compiled: CompiledScenario, fleet) -> dict:
+def scenario_run_kwargs(compiled: CompiledScenario) -> dict:
     """The ``faults``/``priorities`` kwargs a compiled scenario's run takes.
 
     Shared by the batch and live execution planes so both route through
-    the fleet ``run`` entry points identically.  A static fleet has no
-    admission control, so priorities alone (no faults) change nothing
-    there — only the autoscaled loop's weighted admission reacts to
-    them, hence the ``AutoscalingFleetSimulator`` guard.
+    :func:`~repro.serving.dispatch.make_controller` identically.
     """
-    run_kwargs: dict = {}
-    if compiled.faults is not None:
-        run_kwargs["faults"] = compiled.faults
-        run_kwargs["priorities"] = compiled.priorities
-    elif compiled.priorities is not None and isinstance(
-        fleet, AutoscalingFleetSimulator
-    ):
-        run_kwargs["priorities"] = compiled.priorities
-    return run_kwargs
+    return {"faults": compiled.faults, "priorities": compiled.priorities}
 
 
 def run_scenario(
@@ -172,7 +161,7 @@ def run_scenario(
     result = fleet.run(
         list(compiled.trace),
         runtime=runtime,
-        **scenario_run_kwargs(compiled, fleet),
+        **scenario_run_kwargs(compiled),
     )
     return scenario_report(spec, compiled, result)
 

@@ -8,7 +8,8 @@ with admission control (:mod:`repro.serving.autoscale`) — and per-request
 timestamp records fold into latency/TTFT percentiles and aggregate
 throughput (:mod:`repro.serving.metrics`).  Deterministic fault schedules
 (chip outages, DRAM degradation) and weighted tenant priorities replay
-through the same engines via :mod:`repro.serving.faults`.  The live
+through the same engines via :mod:`repro.serving.faults` (pass
+``faults=``/``priorities=`` to a fleet's ``run``).  The live
 control plane (:mod:`repro.serving.runtime`) streams the same traces
 through asyncio actors — driving the stepwise dispatch controllers of
 :mod:`repro.serving.dispatch` — with checkpoint/restore, byte-identical
@@ -35,13 +36,10 @@ from .faults import (
     FAULT_KINDS,
     FaultAutoscaleResult,
     FaultEvent,
-    FaultFleetResult,
     FaultRecovery,
     FaultSchedule,
     fault_recovery,
     normalize_priorities,
-    run_autoscale_with_faults,
-    run_fleet_with_faults,
 )
 from .fleet import FleetResult, FleetSimulator
 from .metrics import (
@@ -92,13 +90,10 @@ __all__ = [
     "FAULT_KINDS",
     "FaultAutoscaleResult",
     "FaultEvent",
-    "FaultFleetResult",
     "FaultRecovery",
     "FaultSchedule",
     "fault_recovery",
     "normalize_priorities",
-    "run_autoscale_with_faults",
-    "run_fleet_with_faults",
     "FleetResult",
     "FleetSimulator",
     "PercentileStats",

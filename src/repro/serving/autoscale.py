@@ -30,7 +30,7 @@ configuration reproduce bit-identical records, decisions and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..core.simulator import PerformanceSimulator
 from ..models.mllm import MLLMConfig
@@ -177,6 +177,12 @@ class AutoscalingFleetSimulator(FleetSimulator):
     The full ``max_chips`` fleet is instantiated up front (so service-time
     precomputation seeds every chip once), but only the *active* prefix of
     chips receives requests; the controller grows and shrinks that prefix.
+    :meth:`~repro.serving.fleet.FleetSimulator.run` drives the control
+    loop — an :class:`~repro.serving.dispatch.AutoscaleDispatchController`,
+    or with ``faults``/``priorities`` the fault-aware
+    :class:`~repro.serving.faults.FaultAutoscaleController` — and returns
+    an :class:`AutoscaleResult`: chips replay the controlled assignment
+    under synthetic positional ids, folded back to true ids and arrivals.
     """
 
     def __init__(
@@ -205,79 +211,6 @@ class AutoscalingFleetSimulator(FleetSimulator):
             processes=processes,
         )
         self.autoscaler = autoscaler
-
-    # ------------------------------------------------------------------
-    # Controlled dispatch
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: Sequence[ServingRequest],
-        *,
-        faults=None,
-        priorities: Optional[Sequence[float]] = None,
-        runtime: str = "batch",
-    ) -> AutoscaleResult:
-        """Dispatch under the control loop, then replay chips exactly.
-
-        ``faults`` routes the run through the event-driven degradation
-        path (:func:`repro.serving.faults.run_autoscale_with_faults`) and
-        ``priorities`` weights each request's admission depth; either
-        being set selects the fault-aware loop (with an empty schedule
-        when only priorities are given).  Both ``None`` — the default —
-        keeps the historical fault-free path unchanged.  ``runtime``
-        selects the execution plane: ``"live"`` streams the trace
-        through the asyncio actor runtime, producing the bit-identical
-        result (see :data:`repro.serving.dispatch.RUNTIMES`).
-
-        The control loop itself is a stepwise
-        :class:`~repro.serving.dispatch.AutoscaleDispatchController`
-        driven over the sorted trace — the exact per-arrival arithmetic
-        the live runtime's supervisor actor applies per message.  Chips
-        then replay the controlled assignment under synthetic positional
-        ids through :meth:`~repro.serving.fleet.FleetSimulator.
-        _run_shards` (the ``processes`` fan-out applies), and the
-        controller folds the per-chip results back to true ids and
-        arrivals.
-        """
-        if runtime != "batch":
-            from .dispatch import RUNTIMES
-
-            if runtime not in RUNTIMES:
-                raise ValueError(
-                    f"runtime must be one of {RUNTIMES}, got {runtime!r}"
-                )
-            # Imported lazily: the runtime package builds on this module.
-            from .runtime import run_live
-
-            return run_live(
-                self, trace, faults=faults, priorities=priorities
-            )
-        if faults is not None or priorities is not None:
-            # Imported lazily: faults builds on this module.
-            from .faults import FaultSchedule, run_autoscale_with_faults
-
-            schedule = faults if faults is not None else FaultSchedule()
-            return run_autoscale_with_faults(
-                self, trace, schedule, priorities=priorities
-            )
-        if not trace:
-            raise ValueError("trace must not be empty")
-        if self.precompute:
-            self.precompute_service_times(trace)
-        # Imported lazily: dispatch builds on this module.
-        from .dispatch import AutoscaleDispatchController, sorted_order
-
-        controller = AutoscaleDispatchController(self)
-        for index in sorted_order(trace):
-            controller.on_arrival(index, trace[index])
-        jobs = controller.final_jobs()
-        shards: List[List[ServingRequest]] = [[] for _ in range(self.n_chips)]
-        for job in jobs:
-            shards[job.chip_id] = list(job.shard)
-        per_chip = self._run_shards(shards)
-        return controller.collect(
-            {chip_id: result for chip_id, result in enumerate(per_chip)}
-        )
 
 
 def static_fleet_report(

@@ -1,21 +1,22 @@
 """Stepwise dispatch controllers: one arrival-ordered decision at a time.
 
 Every serving loop in this package — static least-loaded/round-robin
-dispatch, the SLO-aware autoscaler, and both fault-injection paths — is
-*sequential in arrival order*: each decision depends only on the decisions
-made for earlier arrivals.  This module factors that sequential core out
-of the batch loops into controller objects with a uniform protocol:
+dispatch (under any fault schedule), the SLO-aware autoscaler and its
+fault-injection twin — is *sequential in arrival order*: each decision
+depends only on the decisions made for earlier arrivals.  This module
+factors that sequential core into controller objects with a uniform
+protocol:
 
 * :meth:`~StaticDispatchController.on_arrival` — feed one arrival (in
   ``(arrival_s, request_id)`` order) and take its dispatch/admission/
   scaling decision;
 * :meth:`~StaticDispatchController.finish_events` — apply whatever
-  trailing work remains once the stream ends (fault controllers flush
-  their remaining fault events here; plain controllers no-op);
+  trailing work remains once the stream ends (fault events scheduled
+  past the last arrival; the plain autoscaler no-ops);
 * :meth:`~StaticDispatchController.final_jobs` — the per-chip engine runs
   still owed, as :class:`ShardJob` values an executor of the caller's
-  choice performs (inline for the batch path, per-chip actors for the
-  live runtime);
+  choice performs (:func:`run_jobs` for the batch path, per-chip actors
+  for the live runtime);
 * :meth:`~StaticDispatchController.collect` — fold the executed jobs into
   the path's result object;
 * :meth:`~StaticDispatchController.state_dict` /
@@ -25,14 +26,14 @@ of the batch loops into controller objects with a uniform protocol:
   estimates, CC latencies) are deliberately excluded: they only change
   speed, never values, and rebuild lazily after a restore.
 
-The batch entry points (:meth:`repro.serving.fleet.FleetSimulator.run`,
-:meth:`repro.serving.autoscale.AutoscalingFleetSimulator.run`) drive these
-controllers in a plain loop over the sorted trace, so the live actor
-runtime — which drives the *same* controllers one message at a time — is
-equivalent to the batch path by construction, not by coincidence.  The
-fault-path controllers live in :mod:`repro.serving.faults` next to the
-era machinery they wrap; :func:`make_controller` picks the right one of
-the four for a given fleet/schedule/priorities combination.
+:func:`make_controller` is the one place that picks a controller for a
+fleet/faults/priorities combination, and :func:`run_batch` is the one
+batch driver behind both fleets' ``run``: it feeds the sorted trace
+through the controller, so the live actor runtime — which drives the
+*same* controllers one message at a time — is equivalent to the batch
+path by construction, not by coincidence.  The fault-aware autoscaler
+lives in :mod:`repro.serving.faults` next to the era machinery it shares
+with :class:`StaticDispatchController`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.simulator import PerformanceSimulator
+from .faults import (
+    FaultAutoscaleController,
+    FaultEvent,
+    FaultSchedule,
+    _FaultLedger,
+    _pool_order,
+    _validate_targets,
+    normalize_priorities,
+)
+from .fleet import simulate_chip_shard
 from .metrics import RequestRecord, percentile
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
@@ -71,7 +83,7 @@ class ShardJob:
     shard: Tuple[ServingRequest, ...]
 
     def run(self) -> ServingResult:
-        """Execute the job inline (the batch executor)."""
+        """Execute the job in-process."""
         return self.sim.run(list(self.shard))
 
 
@@ -88,8 +100,52 @@ def sorted_order(trace: Sequence[ServingRequest]) -> List[int]:
     )
 
 
-def run_jobs_inline(jobs: Sequence[ShardJob]) -> Dict[int, ServingResult]:
-    """Execute ``jobs`` serially in-process, keyed by chip id."""
+def run_jobs(
+    jobs: Sequence[ShardJob], processes: Optional[int] = None
+) -> Dict[int, ServingResult]:
+    """Execute ``jobs`` keyed by chip id, in-process or across ``processes``.
+
+    Jobs for different chips are independent, so with ``processes > 1``
+    and more than one job they fan out through
+    :class:`~repro.experiments.parallel.ParallelSweepRunner`.  Each
+    worker rebuilds its chip from ``job.sim`` — system, serving
+    configuration and harvested cost memos, so a degraded-era sim
+    rebuilds degraded — and returns the bit-identical result of the
+    in-process run.  A sim built on a custom
+    :class:`~repro.core.simulator.PerformanceSimulator` subclass cannot
+    be rebuilt from its system alone, so such job sets stay in-process.
+    """
+    if (
+        processes is not None
+        and processes > 1
+        and len(jobs) > 1
+        and all(type(job.sim.simulator) is PerformanceSimulator for job in jobs)
+    ):
+        # Imported lazily: repro.experiments pulls in the experiment
+        # registry, which serving must not depend on at import time.
+        from ..experiments.parallel import ParallelSweepRunner
+
+        runner = ParallelSweepRunner(processes=processes, cache=False)
+        outcomes = runner.map(
+            simulate_chip_shard,
+            [
+                {
+                    "system": job.sim.simulator.system,
+                    "model": job.sim.model,
+                    "chip_id": job.sim.chip_id,
+                    "max_batch_size": job.sim.max_batch_size,
+                    "cc_bandwidth_fraction": job.sim.cc_bandwidth_fraction,
+                    "context_bucket": job.sim.cost_model.context_bucket,
+                    "engine": job.sim.engine,
+                    "shard": list(job.shard),
+                    "cc_latencies": job.sim.cc_latencies(),
+                    "bucket_costs": job.sim.cost_model.bucket_costs(),
+                    "step_cache": job.sim.cost_model.step_cache(),
+                }
+                for job in jobs
+            ],
+        )
+        return {job.chip_id: outcome for job, outcome in zip(jobs, outcomes)}
     return {job.chip_id: job.run() for job in jobs}
 
 
@@ -214,131 +270,197 @@ def result_from_state(data: Mapping[str, Any]) -> ServingResult:
 
 
 class StaticDispatchController:
-    """Arrival-at-a-time form of the static fleet's dispatch policies.
+    """Arrival-at-a-time dispatch over a static fleet, under any fault schedule.
 
-    The round-robin position counter and the least-loaded ``(horizon,
-    chip_id)`` heap are the exact state of
-    :meth:`~repro.serving.fleet.FleetSimulator._assign`; feeding arrivals
-    in sorted order reproduces its assignment list bit for bit.
+    The fleet's policy picks among the chips currently alive:
+    ``round_robin`` cycles a position counter over them, ``least_loaded``
+    takes the smallest ``(horizon, chip_id)``, a chip's horizon advancing
+    by the dispatcher-side batch-1 estimate of every request it takes.
+    On an empty ``schedule`` every chip stays alive and this is the plain
+    static dispatch; a fault event closes the target chip's era through
+    the :class:`~repro.serving.faults._FaultLedger` and re-dispatches the
+    displaced requests across the survivors at the event time, highest
+    ``priorities`` first (a static fleet has no admission control, so
+    priorities order re-dispatch only).  Requests arriving while every
+    chip is down park until a ``chip_up``.
+
+    The controller needs the full ``trace`` up front: priority
+    normalization is global and era re-dispatch reaches requests by
+    trace position.
     """
 
     kind = "static"
 
-    def __init__(self, fleet) -> None:
+    def __init__(
+        self,
+        fleet,
+        trace: Sequence[ServingRequest],
+        schedule: FaultSchedule,
+        priorities: Optional[Sequence[float]] = None,
+    ) -> None:
+        if not trace:
+            raise ValueError("trace must not be empty")
+        _validate_targets(schedule, fleet.n_chips)
         self.fleet = fleet
-        self.policy = fleet.policy
-        self._position = 0
-        self._heap: List[Tuple[float, int]] = [
-            (0.0, chip_id) for chip_id in range(fleet.n_chips)
-        ]
-        #: index -> chip id, in decision order (insertion-ordered dict).
-        self.assignments: Dict[int, int] = {}
-        self._shards: List[List[ServingRequest]] = [
-            [] for _ in range(fleet.n_chips)
-        ]
+        self.round_robin = fleet.policy == "round_robin"
+        self.trace = trace
+        self.schedule = schedule
+        self.weights = normalize_priorities(priorities, len(trace))
+        self.ledger = _FaultLedger(fleet, trace, schedule)
+        self.event_pos = 0
+        self.horizons = [0.0] * fleet.n_chips
+        #: Alive chip ids in id order, updated on fault events only.
+        self.alive = self.ledger.alive_ids()
+        self.rr_position = 0
+        self.parked: List[Tuple[int, float, bool]] = []
+        self.n_seen = 0
 
-    @property
-    def n_seen(self) -> int:
-        """Arrivals processed so far (the checkpoint cursor)."""
-        return len(self.assignments)
-
-    def on_arrival(self, index: int, request: ServingRequest) -> int:
-        """Dispatch one arrival; returns the chip id it was assigned to."""
-        if self.policy == "round_robin":
-            chip_id = self._position % self.fleet.n_chips
-            self._position += 1
-        else:  # least_loaded
-            horizon, chip_id = heapq.heappop(self._heap)
-            cost = self.fleet._estimate_cost_s(
-                self.fleet.chips[chip_id], request.request
-            )
-            heapq.heappush(
-                self._heap, (max(horizon, request.arrival_s) + cost, chip_id)
-            )
-        self.assignments[index] = chip_id
-        self._shards[chip_id].append(request)
+    def _dispatch(self, index: int, eff: float, fresh: bool) -> int:
+        alive = self.alive
+        horizons = self.horizons
+        if self.round_robin:
+            chip_id = alive[self.rr_position % len(alive)]
+            self.rr_position += 1
+        else:
+            # ``min`` keeps the first of equal keys and ``alive`` is in id
+            # order, so this is the minimum of ``(horizon, chip_id)``.
+            chip_id = min(alive, key=horizons.__getitem__)
+        ledger = self.ledger
+        floor = ledger.states[chip_id].floor
+        if floor > eff:
+            eff = floor
+        cost = ledger.estimate(chip_id, self.trace[index].request)
+        horizon = horizons[chip_id]
+        horizons[chip_id] = (eff if eff > horizon else horizon) + cost
+        ledger.place(chip_id, index, eff, fresh)
         return chip_id
 
+    def _apply(self, event: FaultEvent) -> None:
+        pool = self.ledger.apply_event(event)
+        self.alive = self.ledger.alive_ids()
+        if event.kind == "chip_up":
+            self.horizons[event.chip_id] = (
+                self.ledger.states[event.chip_id].floor
+            )
+            flush, self.parked = self.parked, []
+            for index, eff, fresh in flush:
+                self._dispatch(index, max(eff, event.time_s), fresh)
+        for entry in _pool_order(pool, self.trace, self.weights):
+            if not self.alive:
+                self.parked.append((entry.index, entry.eff_arrival_s, False))
+                continue
+            self._dispatch(
+                entry.index, max(entry.eff_arrival_s, event.time_s), False
+            )
+
+    def on_arrival(self, index: int, request: ServingRequest) -> int:
+        """Apply due fault events, then dispatch (or park) one arrival.
+
+        Returns the assigned chip id, or ``-1`` when every chip is down
+        and the request parks until a ``chip_up``.
+        """
+        self.n_seen += 1
+        arrival = request.arrival_s
+        events = self.schedule.events
+        while (
+            self.event_pos < len(events)
+            and events[self.event_pos].time_s <= arrival
+        ):
+            self._apply(events[self.event_pos])
+            self.event_pos += 1
+        if not self.alive:
+            self.parked.append((index, arrival, True))
+            return -1
+        return self._dispatch(index, arrival, True)
+
     def finish_events(self) -> None:
-        """No trailing work: static dispatch has no event timeline."""
+        """Apply trailing fault events; raise if requests stayed parked."""
+        events = self.schedule.events
+        while self.event_pos < len(events):
+            self._apply(events[self.event_pos])
+            self.event_pos += 1
+        if self.parked:
+            raise ValueError(
+                f"{len(self.parked)} requests were never dispatched: every "
+                "chip was down through the end of the trace"
+            )
 
     def final_jobs(self) -> List[ShardJob]:
-        """One engine run per chip that received work."""
-        return [
-            ShardJob(chip_id=chip_id, sim=chip, shard=tuple(shard))
-            for chip_id, (chip, shard) in enumerate(
-                zip(self.fleet.chips, self._shards)
-            )
-            if shard
-        ]
+        """The engine runs closing every chip's open era."""
+        return self.ledger.final_jobs()
 
     def collect(self, results: Mapping[int, ServingResult]):
-        """Merge executed jobs into a :class:`~repro.serving.fleet.FleetResult`."""
+        """Fold the executed closing eras into a :class:`~repro.serving.fleet.FleetResult`."""
         from .fleet import FleetResult
 
-        per_chip = tuple(
-            results.get(chip_id, EMPTY_RESULT)
-            for chip_id in range(self.fleet.n_chips)
-        )
-        records: List[RequestRecord] = []
-        for result in per_chip:
-            records.extend(result.records)
-        records.sort(key=lambda record: record.request_id)
-        assignments = tuple(
-            self.assignments[index] for index in range(self.n_seen)
-        )
+        self.ledger.install_final(results)
+        records, per_chip = self.ledger.collect()
         return FleetResult(
-            records=tuple(records),
+            records=records,
             per_chip=per_chip,
-            assignments=assignments,
+            assignments=tuple(self.ledger.assignments),
+            fault_events=self.schedule.events,
+            redispatched_ids=tuple(
+                self.trace[i].request_id for i in self.ledger.redispatched
+            ),
+            aborted_ids=tuple(
+                self.trace[i].request_id for i in self.ledger.aborted
+            ),
         )
 
     def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure).
-
-        Engine runs are pure — caches only memoize — so simulating the
-        shards dispatched so far neither consumes nor perturbs them; the
-        live runtime's interim snapshots are built on this.
-        """
-        results = run_jobs_inline(self.final_jobs())
-        return self.collect(results).records
+        """Records of a hypothetical end-of-stream right now (pure)."""
+        return self.ledger.preview_records()
 
     def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic dispatch state."""
+        """JSON-serializable snapshot of the dynamic dispatch state.
+
+        The schedule rides along so a resume under a different fault
+        schedule is refused instead of silently diverging.
+        """
         return {
             "kind": self.kind,
-            "position": self._position,
-            "heap": [[horizon, chip_id] for horizon, chip_id in self._heap],
-            "assignments": [
-                [index, chip_id] for index, chip_id in self.assignments.items()
+            "schedule": self.schedule.to_dict(),
+            "n_seen": self.n_seen,
+            "event_pos": self.event_pos,
+            "rr_position": self.rr_position,
+            "horizons": list(self.horizons),
+            "parked": [
+                [index, eff, fresh] for index, eff, fresh in self.parked
             ],
+            "ledger": self.ledger.state_dict(),
         }
 
     def restore_state(
         self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
     ) -> None:
-        """Reload :meth:`state_dict` data; shards rebuild from ``trace``."""
-        self._position = int(state["position"])
-        self._heap = [
-            (float(horizon), int(chip_id)) for horizon, chip_id in state["heap"]
+        """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
+        if state["schedule"] != self.schedule.to_dict():
+            raise ValueError(
+                "controller state was taken under a different fault schedule"
+            )
+        self.n_seen = int(state["n_seen"])
+        self.event_pos = int(state["event_pos"])
+        self.rr_position = int(state["rr_position"])
+        self.horizons = [float(h) for h in state["horizons"]]
+        self.parked = [
+            (int(index), float(eff), bool(fresh))
+            for index, eff, fresh in state["parked"]
         ]
-        self.assignments = {}
-        self._shards = [[] for _ in range(self.fleet.n_chips)]
-        for index, chip_id in state["assignments"]:
-            self.assignments[int(index)] = int(chip_id)
-            self._shards[int(chip_id)].append(trace[int(index)])
+        self.ledger.restore_state(state["ledger"])
+        self.alive = self.ledger.alive_ids()
 
 
 class AutoscaleDispatchController:
     """Arrival-at-a-time form of the SLO-aware autoscaling control loop.
 
-    The admission heap, rolling TTFT window, cooldown clock and scaling
-    ledger are the exact loop state of
-    :meth:`~repro.serving.autoscale.AutoscalingFleetSimulator.run`; the
-    replay bookkeeping (synthetic positional ids, admission-delayed
-    dispatch times) matches its historical ``_replay`` contract, so
-    collecting the final jobs reproduces the batch
-    :class:`~repro.serving.autoscale.AutoscaleResult` field for field.
+    Holds the admission heap, rolling TTFT window, cooldown clock and
+    scaling ledger of an
+    :class:`~repro.serving.autoscale.AutoscalingFleetSimulator` run
+    without faults or priorities.  Chips replay the controlled
+    assignment under synthetic positional ids and admission-delayed
+    arrivals; :meth:`collect` maps the records back into an
+    :class:`~repro.serving.autoscale.AutoscaleResult`.
     """
 
     kind = "autoscale"
@@ -507,7 +629,7 @@ class AutoscaleDispatchController:
 
     def preview_records(self) -> Tuple[RequestRecord, ...]:
         """Records of a hypothetical end-of-stream right now (pure)."""
-        results = run_jobs_inline(self.final_jobs())
+        results = run_jobs(self.final_jobs())
         return self.collect(results).records
 
     def state_dict(self) -> Dict[str, Any]:
@@ -586,39 +708,73 @@ def make_controller(
     fleet,
     trace: Sequence[ServingRequest],
     *,
-    faults=None,
+    faults: Optional[FaultSchedule] = None,
     priorities: Optional[Sequence[float]] = None,
 ):
-    """The controller matching a fleet/faults/priorities combination.
+    """The controller for a ``fleet``/``faults``/``priorities`` combination.
 
-    Mirrors the routing of the batch ``run`` entry points: a fault
-    schedule (or priorities on an autoscaled fleet) selects the fault-path
-    controllers of :mod:`repro.serving.faults` (which need the full
-    ``trace`` up front, for priority normalization and era re-dispatch);
-    otherwise the plain static/autoscale controllers stream with no trace
-    knowledge.  Priorities without faults on a *static* fleet change
-    nothing there (no admission control), matching the batch path.
+    The one place that chooses: a static fleet always gets a
+    :class:`StaticDispatchController` (``faults=None`` is the empty
+    schedule); an autoscaled fleet gets the streaming
+    :class:`AutoscaleDispatchController` unless a fault schedule or
+    priorities select the fault-aware
+    :class:`~repro.serving.faults.FaultAutoscaleController`.  ``trace``
+    is the full trace, which the fault-aware controllers need up front.
     """
     from .autoscale import AutoscalingFleetSimulator
-    from .faults import (
-        FaultAutoscaleController,
-        FaultFleetController,
-        FaultSchedule,
-    )
 
-    autoscaled = isinstance(fleet, AutoscalingFleetSimulator)
-    if faults is not None or (priorities is not None and autoscaled):
-        schedule = faults if faults is not None else FaultSchedule()
-        controller_cls = (
-            FaultAutoscaleController if autoscaled else FaultFleetController
-        )
-        return controller_cls(fleet, trace, schedule, priorities=priorities)
-    if autoscaled:
-        return AutoscaleDispatchController(fleet)
-    return StaticDispatchController(fleet)
+    if isinstance(fleet, AutoscalingFleetSimulator):
+        if faults is None and priorities is None:
+            return AutoscaleDispatchController(fleet)
+        controller_cls = FaultAutoscaleController
+    else:
+        controller_cls = StaticDispatchController
+    schedule = faults if faults is not None else FaultSchedule()
+    return controller_cls(fleet, trace, schedule, priorities=priorities)
+
+
+#: Every controller ``kind`` :func:`make_controller` can build — the
+#: kinds a :class:`~repro.serving.runtime.Checkpoint` may name.
+CONTROLLER_KINDS: Tuple[str, ...] = (
+    StaticDispatchController.kind,
+    AutoscaleDispatchController.kind,
+    FaultAutoscaleController.kind,
+)
+
+
+def run_batch(
+    fleet,
+    trace: Sequence[ServingRequest],
+    *,
+    faults: Optional[FaultSchedule] = None,
+    priorities: Optional[Sequence[float]] = None,
+):
+    """Play ``trace`` through ``fleet`` in-process: the one batch driver.
+
+    Primes the fleet's cost caches, builds the controller for ``faults``
+    and ``priorities`` through :func:`make_controller`, feeds it the
+    arrivals in :func:`sorted_order`, applies trailing events, executes
+    the final jobs with :func:`run_jobs` (fanned out over the fleet's
+    ``processes``) and returns the controller's collected result.
+    """
+    trace = list(trace)
+    if not trace:
+        raise ValueError("trace must not be empty")
+    if fleet.precompute:
+        fleet.precompute_service_times(trace)
+    controller = make_controller(
+        fleet, trace, faults=faults, priorities=priorities
+    )
+    for index in sorted_order(trace):
+        controller.on_arrival(index, trace[index])
+    controller.finish_events()
+    return controller.collect(
+        run_jobs(controller.final_jobs(), fleet.processes)
+    )
 
 
 __all__ = [
+    "CONTROLLER_KINDS",
     "EMPTY_RESULT",
     "REQUEST_STATE_FIELDS",
     "RUNTIMES",
@@ -632,6 +788,7 @@ __all__ = [
     "request_to_state",
     "result_from_state",
     "result_to_state",
-    "run_jobs_inline",
+    "run_batch",
+    "run_jobs",
     "sorted_order",
 ]

@@ -3,11 +3,13 @@
 A :class:`FaultSchedule` is a deterministic timeline of fleet faults —
 ``chip_down`` (a chip stops admitting work), ``chip_up`` (it rejoins the
 fleet) and ``dram_degrade`` (its DRAM tier drops to a fraction of the
-healthy bandwidth).  :func:`run_fleet_with_faults` and
-:func:`run_autoscale_with_faults` play a trace through the existing
-:class:`~repro.serving.fleet.FleetSimulator` /
-:class:`~repro.serving.autoscale.AutoscalingFleetSimulator` machinery
-under such a schedule, with weighted-priority admission on top.
+healthy bandwidth).  Passing one as ``faults=`` to the ``run`` of a
+:class:`~repro.serving.fleet.FleetSimulator` or
+:class:`~repro.serving.autoscale.AutoscalingFleetSimulator` plays the
+trace under it: the static fleet's
+:class:`~repro.serving.dispatch.StaticDispatchController` and this
+module's :class:`FaultAutoscaleController` (which adds weighted-priority
+admission) share the era bookkeeping of :class:`_FaultLedger`.
 
 The simulation is *era-based*: each chip's service history is a sequence
 of eras, and every era is one ordinary
@@ -36,9 +38,9 @@ CC-stage and whole-step latencies recompute against the degraded
 bandwidth.  Because era splits use the engine-independent
 ``prefill_windows`` recurrence and era replays go through
 ``chip.run()`` (bit-identical across the ``step`` and ``wave``
-engines), fault runs are engine-independent too — and an *empty*
-schedule reproduces the fault-free path ``==``-identically, which the
-differential chaos suite asserts.
+engines), fault runs are engine-independent too — and on an *empty*
+schedule the fault-aware autoscaler reproduces the plain one
+``==``-identically, which the differential chaos suite asserts.
 
 Under the ``"abort"`` policy a closed era's ``decode_steps`` /
 ``peak_batch_size`` counters reflect the replay that *discovered* the
@@ -51,9 +53,9 @@ computes.  They compose freely with the *runtime* faults of
 which attack the control plane executing the computation and must not
 change its result: a fault-schedule scenario run under a chaos schedule
 still reproduces its fault summary byte-identically.  Both planes meet
-in :func:`~repro.serving.dispatch.make_controller`, which wraps this
-module's simulators behind the same stepwise controller protocol the
-supervised runtime drives.
+in :func:`~repro.serving.dispatch.make_controller`, which picks the
+stepwise controller both the batch driver and the supervised runtime
+drive.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import (
     Any,
     Deque,
@@ -77,7 +80,7 @@ from ..core.simulator import PerformanceSimulator
 from ..models.mllm import InferenceRequest
 from .autoscale import AutoscaleResult, ScalingEvent
 from .engine import prefill_windows
-from .fleet import FleetResult, FleetSimulator
+from .fleet import FleetSimulator
 from .metrics import RequestRecord, percentile
 from .queue import ContinuousBatchingSimulator, ServingRequest, ServingResult
 
@@ -207,21 +210,6 @@ class FaultSchedule:
 
 
 @dataclass(frozen=True)
-class FaultFleetResult(FleetResult):
-    """Static-fleet outcome under a fault schedule.
-
-    Extends :class:`~repro.serving.fleet.FleetResult` with the applied
-    schedule and the displaced-request accounting; ``per_chip`` records
-    carry the fault path's synthetic positional ids (original ids are
-    restored on the merged ``records``).
-    """
-
-    fault_events: Tuple[FaultEvent, ...] = ()
-    redispatched_ids: Tuple[int, ...] = ()
-    aborted_ids: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class FaultAutoscaleResult(AutoscaleResult):
     """Autoscaled-fleet outcome under a fault schedule.
 
@@ -328,14 +316,23 @@ def normalize_priorities(
 # ----------------------------------------------------------------------
 # Era bookkeeping
 # ----------------------------------------------------------------------
+_BY_ID = attrgetter("request_id")
+
+
 @dataclass
 class _Entry:
-    """One dispatched request inside a chip era (synthetic-id keyed)."""
+    """One dispatched request inside a chip era (synthetic-id keyed).
+
+    ``source`` is the trace request at position ``index``; the era runs
+    it under ``sid`` at ``eff_arrival_s``.
+    """
+
+    __slots__ = ("sid", "eff_arrival_s", "index", "source")
 
     sid: int
     eff_arrival_s: float
     index: int
-    request: InferenceRequest
+    source: ServingRequest
 
 
 class _ChipState:
@@ -354,13 +351,20 @@ class _ChipState:
 
 
 def _era_shard(state: _ChipState) -> List[ServingRequest]:
-    """The era's dispatch-ordered shard (sorts entries in place)."""
-    state.entries.sort(key=lambda e: (e.eff_arrival_s, e.sid))
+    """The era's dispatch-ordered shard (sorts entries in place).
+
+    An entry running under its source's own id and arrival reuses the
+    source request instead of building an equal copy.
+    """
+    state.entries.sort(key=attrgetter("eff_arrival_s", "sid"))
     return [
-        ServingRequest(
+        entry.source
+        if entry.sid == entry.source.request_id
+        and entry.eff_arrival_s == entry.source.arrival_s
+        else ServingRequest(
             request_id=entry.sid,
             arrival_s=entry.eff_arrival_s,
-            request=entry.request,
+            request=entry.source.request,
         )
         for entry in state.entries
     ]
@@ -465,9 +469,22 @@ class _FaultLedger:
         self.assignments = [-1] * len(trace)
         self._era_cost: Dict[Tuple[int, int, int, int, int], float] = {}
 
-    def index_of(self, sid: int) -> int:
-        """The trace position a synthetic record id maps back to."""
-        return self.origin.get(sid, sid)
+    def restored(self, record: RequestRecord) -> RequestRecord:
+        """``record`` under its trace request's own id and arrival.
+
+        A synthetic id maps back to its trace position through
+        ``origin`` (first dispatches run under the position itself).
+        """
+        sid = record.request_id
+        source = self.trace[self.origin.get(sid, sid)]
+        if (
+            record.request_id == source.request_id
+            and record.arrival_s == source.arrival_s
+        ):
+            return record
+        return replace(
+            record, request_id=source.request_id, arrival_s=source.arrival_s
+        )
 
     def place(self, chip_id: int, index: int, eff: float, fresh: bool) -> None:
         """Dispatch trace position ``index`` onto ``chip_id`` at ``eff``.
@@ -488,7 +505,7 @@ class _FaultLedger:
                 sid=sid,
                 eff_arrival_s=eff,
                 index=index,
-                request=self.trace[index].request,
+                source=self.trace[index],
             )
         )
         self.assignments[index] = chip_id
@@ -600,16 +617,8 @@ class _FaultLedger:
             if shard:
                 results.append(state.sim.run(shard))
             for result in results:
-                for record in result.records:
-                    source = self.trace[self.index_of(record.request_id)]
-                    records.append(
-                        replace(
-                            record,
-                            request_id=source.request_id,
-                            arrival_s=source.arrival_s,
-                        )
-                    )
-        records.sort(key=lambda record: record.request_id)
+                records.extend(map(self.restored, result.records))
+        records.sort(key=_BY_ID)
         return tuple(records)
 
     def state_dict(self) -> Dict[str, Any]:
@@ -676,7 +685,7 @@ class _FaultLedger:
                     sid=int(entry["sid"]),
                     eff_arrival_s=float(entry["eff_arrival_s"]),
                     index=int(entry["index"]),
-                    request=self.trace[int(entry["index"])].request,
+                    source=self.trace[int(entry["index"])],
                 )
                 for entry in chip["entries"]
             ]
@@ -693,7 +702,7 @@ class _FaultLedger:
                 for result in state.closed
                 for record in result.records
             ]
-            merged.sort(key=lambda record: record.request_id)
+            merged.sort(key=_BY_ID)
             per_chip.append(
                 ServingResult(
                     records=tuple(merged),
@@ -708,16 +717,8 @@ class _FaultLedger:
             )
         records: List[RequestRecord] = []
         for result in per_chip:
-            for record in result.records:
-                source = self.trace[self.index_of(record.request_id)]
-                records.append(
-                    replace(
-                        record,
-                        request_id=source.request_id,
-                        arrival_s=source.arrival_s,
-                    )
-                )
-        records.sort(key=lambda record: record.request_id)
+            records.extend(map(self.restored, result.records))
+        records.sort(key=_BY_ID)
         return tuple(records), tuple(per_chip)
 
 
@@ -748,205 +749,25 @@ def _pool_order(
 
 
 # ----------------------------------------------------------------------
-# Static fleet under faults
-# ----------------------------------------------------------------------
-class FaultFleetController:
-    """Arrival-at-a-time form of the static fleet's fault-injection loop.
-
-    The exact loop state of :func:`run_fleet_with_faults` — the event
-    cursor, the per-chip horizons, the round-robin position and the
-    parked list — lifted onto the stepwise controller protocol of
-    :mod:`repro.serving.dispatch` so the batch driver and the live actor
-    runtime share one implementation.  The controller needs the full
-    ``trace`` up front: priority normalization is global and era
-    re-dispatch reaches requests by trace position.
-    """
-
-    kind = "fault_fleet"
-
-    def __init__(
-        self,
-        fleet: FleetSimulator,
-        trace: Sequence[ServingRequest],
-        schedule: FaultSchedule,
-        priorities: Optional[Sequence[float]] = None,
-    ) -> None:
-        if not trace:
-            raise ValueError("trace must not be empty")
-        _validate_targets(schedule, fleet.n_chips)
-        self.fleet = fleet
-        self.trace = trace
-        self.schedule = schedule
-        self.weights = normalize_priorities(priorities, len(trace))
-        if fleet.precompute:
-            fleet.precompute_service_times(trace)
-        self.ledger = _FaultLedger(fleet, trace, schedule)
-        self.events = list(schedule.events)
-        self.event_pos = 0
-        self.horizons = [0.0] * fleet.n_chips
-        self.rr_position = 0
-        self.parked: List[Tuple[int, float, bool]] = []
-        self.n_seen = 0
-
-    def _dispatch(self, index: int, eff: float, fresh: bool) -> None:
-        targets = self.ledger.alive_ids()
-        request = self.trace[index].request
-        if self.fleet.policy == "round_robin":
-            chip_id = targets[self.rr_position % len(targets)]
-            self.rr_position += 1
-        else:  # least_loaded
-            chip_id = min(targets, key=lambda c: (self.horizons[c], c))
-        eff = max(eff, self.ledger.states[chip_id].floor)
-        cost = self.ledger.estimate(chip_id, request)
-        self.horizons[chip_id] = max(self.horizons[chip_id], eff) + cost
-        self.ledger.place(chip_id, index, eff, fresh)
-
-    def _apply(self, event: FaultEvent) -> None:
-        pool = self.ledger.apply_event(event)
-        if event.kind == "chip_up":
-            self.horizons[event.chip_id] = (
-                self.ledger.states[event.chip_id].floor
-            )
-            if self.parked:
-                flush, self.parked[:] = list(self.parked), []
-                for index, eff, fresh in flush:
-                    self._dispatch(index, max(eff, event.time_s), fresh)
-        for entry in _pool_order(pool, self.trace, self.weights):
-            if not self.ledger.alive_ids():
-                self.parked.append((entry.index, entry.eff_arrival_s, False))
-                continue
-            self._dispatch(
-                entry.index, max(entry.eff_arrival_s, event.time_s), False
-            )
-
-    def on_arrival(self, index: int, request: ServingRequest) -> int:
-        """Apply due fault events, then dispatch (or park) one arrival.
-
-        Returns the assigned chip id, or ``-1`` when every chip is down
-        and the request parks until a ``chip_up``.
-        """
-        self.n_seen += 1
-        arrival = request.arrival_s
-        while (
-            self.event_pos < len(self.events)
-            and self.events[self.event_pos].time_s <= arrival
-        ):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        if not self.ledger.alive_ids():
-            self.parked.append((index, arrival, True))
-            return -1
-        self._dispatch(index, arrival, True)
-        return self.ledger.assignments[index]
-
-    def finish_events(self) -> None:
-        """Apply trailing fault events; raise if requests stayed parked."""
-        while self.event_pos < len(self.events):
-            self._apply(self.events[self.event_pos])
-            self.event_pos += 1
-        if self.parked:
-            raise ValueError(
-                f"{len(self.parked)} requests were never dispatched: every "
-                "chip was down through the end of the trace"
-            )
-
-    def final_jobs(self) -> List["ShardJob"]:
-        """The engine runs closing every open era."""
-        return self.ledger.final_jobs()
-
-    def collect(
-        self, results: Mapping[int, ServingResult]
-    ) -> FaultFleetResult:
-        """Fold the executed closing eras into a :class:`FaultFleetResult`."""
-        self.ledger.install_final(results)
-        records, per_chip = self.ledger.collect()
-        return FaultFleetResult(
-            records=records,
-            per_chip=per_chip,
-            assignments=tuple(self.ledger.assignments),
-            fault_events=self.schedule.events,
-            redispatched_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.redispatched
-            ),
-            aborted_ids=tuple(
-                self.trace[i].request_id for i in self.ledger.aborted
-            ),
-        )
-
-    def preview_records(self) -> Tuple[RequestRecord, ...]:
-        """Records of a hypothetical end-of-stream right now (pure)."""
-        return self.ledger.preview_records()
-
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of the dynamic fault-loop state."""
-        return {
-            "kind": self.kind,
-            "n_seen": self.n_seen,
-            "event_pos": self.event_pos,
-            "rr_position": self.rr_position,
-            "horizons": list(self.horizons),
-            "parked": [
-                [index, eff, fresh] for index, eff, fresh in self.parked
-            ],
-            "ledger": self.ledger.state_dict(),
-        }
-
-    def restore_state(
-        self, state: Mapping[str, Any], trace: Sequence[ServingRequest]
-    ) -> None:
-        """Reload :meth:`state_dict` data (``trace`` must equal the original)."""
-        self.n_seen = int(state["n_seen"])
-        self.event_pos = int(state["event_pos"])
-        self.rr_position = int(state["rr_position"])
-        self.horizons = [float(h) for h in state["horizons"]]
-        self.parked = [
-            (int(index), float(eff), bool(fresh))
-            for index, eff, fresh in state["parked"]
-        ]
-        self.ledger.restore_state(state["ledger"])
-
-
-def run_fleet_with_faults(
-    fleet: FleetSimulator,
-    trace: Sequence[ServingRequest],
-    schedule: FaultSchedule,
-    priorities: Optional[Sequence[float]] = None,
-) -> FaultFleetResult:
-    """Play ``trace`` through a static fleet under a fault ``schedule``.
-
-    Dispatch follows the fleet's configured policy over the *alive*
-    chips only; a ``chip_down`` re-dispatches the dead chip's unstarted
-    (and, under ``"abort"``, killed) requests across the survivors at
-    the event time, highest ``priorities`` first.  With an empty
-    schedule and uniform priorities the result equals
-    :meth:`~repro.serving.fleet.FleetSimulator.run` field for field
-    (asserted by the differential suite).  Raises if requests remain
-    unservable because every chip is down through the end of the trace.
-
-    A thin driver over :class:`FaultFleetController` — the live actor
-    runtime drives the identical controller one message at a time.
-    """
-    from .dispatch import run_jobs_inline, sorted_order
-
-    controller = FaultFleetController(
-        fleet, trace, schedule, priorities=priorities
-    )
-    for index in sorted_order(trace):
-        controller.on_arrival(index, trace[index])
-    controller.finish_events()
-    return controller.collect(run_jobs_inline(controller.final_jobs()))
-
-
-# ----------------------------------------------------------------------
 # Autoscaled fleet under faults
 # ----------------------------------------------------------------------
 class FaultAutoscaleController:
     """Arrival-at-a-time form of the fault-aware autoscaling loop.
 
-    The exact loop state of :func:`run_autoscale_with_faults` — the
-    admission heap, rolling TTFT window, scaling ledger, event cursor
-    and parked list — on the stepwise controller protocol.  Needs the
-    full ``trace`` up front, as :class:`FaultFleetController` does.
+    The control loop is the exact arithmetic of
+    :class:`~repro.serving.dispatch.AutoscaleDispatchController` — the
+    same admission pops, rolling-percentile decisions and horizon
+    updates — restricted to the alive prefix of the fleet, with two
+    additions: per-request admission depth scales with the request's
+    priority weight (``max(1, int(depth * weight))``, exactly the
+    unweighted limit at uniform priorities), and fault events displace
+    and re-dispatch work as in
+    :class:`~repro.serving.dispatch.StaticDispatchController` (displaced
+    requests bypass admission — they were already admitted once).  The
+    in-flight depth estimates of a dead chip stay in the controller's
+    heap (a dispatcher cannot observe them individually); they age out
+    by their estimated finish times.  Needs the full ``trace`` up front,
+    as the static controller does.
     """
 
     kind = "fault_autoscale"
@@ -1213,41 +1034,6 @@ class FaultAutoscaleController:
         self.ledger.restore_state(state["ledger"])
 
 
-def run_autoscale_with_faults(
-    fleet,
-    trace: Sequence[ServingRequest],
-    schedule: FaultSchedule,
-    priorities: Optional[Sequence[float]] = None,
-) -> FaultAutoscaleResult:
-    """Play ``trace`` through an autoscaled fleet under a fault ``schedule``.
-
-    The control loop is the exact arithmetic of
-    :meth:`~repro.serving.autoscale.AutoscalingFleetSimulator.run` — the
-    same admission pops, rolling-percentile decisions and horizon
-    updates — restricted to the alive prefix of the fleet, with two
-    additions: per-request admission depth scales with the request's
-    priority weight (``max(1, int(depth * weight))``, exactly the
-    unweighted limit at uniform priorities), and fault events displace
-    and re-dispatch work as in :func:`run_fleet_with_faults` (displaced
-    requests bypass admission — they were already admitted once).  The
-    in-flight depth estimates of a dead chip stay in the controller's
-    heap (a dispatcher cannot observe them individually); they age out
-    by their estimated finish times.
-
-    A thin driver over :class:`FaultAutoscaleController` — the live
-    actor runtime drives the identical controller one message at a time.
-    """
-    from .dispatch import run_jobs_inline, sorted_order
-
-    controller = FaultAutoscaleController(
-        fleet, trace, schedule, priorities=priorities
-    )
-    for index in sorted_order(trace):
-        controller.on_arrival(index, trace[index])
-    controller.finish_events()
-    return controller.collect(run_jobs_inline(controller.final_jobs()))
-
-
 __all__ = [
     "FAULT_KINDS",
     "DRAIN_POLICIES",
@@ -1255,13 +1041,9 @@ __all__ = [
     "RECOVERY_TOLERANCE",
     "FaultEvent",
     "FaultSchedule",
-    "FaultFleetResult",
     "FaultAutoscaleResult",
     "FaultRecovery",
-    "FaultFleetController",
     "FaultAutoscaleController",
     "fault_recovery",
     "normalize_priorities",
-    "run_fleet_with_faults",
-    "run_autoscale_with_faults",
 ]

@@ -19,7 +19,7 @@ Two dispatch policies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.batch import BatchCostEngine, DesignGrid, OpTable, ordered_sum
 from ..core.config import SystemConfig
@@ -79,11 +79,23 @@ def simulate_chip_shard(
 
 @dataclass(frozen=True)
 class FleetResult:
-    """Outcome of a fleet simulation: merged records plus per-chip results."""
+    """Outcome of a fleet simulation: merged records plus per-chip results.
+
+    ``records`` carry the trace's request ids and arrivals; ``per_chip``
+    is the raw chip-level view, whose records carry the positional ids
+    (and, after a re-dispatch, the fresh ids and delayed arrivals) the
+    chips actually simulated.  ``assignments`` holds each request's final
+    chip.  Under a fault schedule, ``fault_events`` is the applied
+    timeline and ``redispatched_ids`` / ``aborted_ids`` account for the
+    displaced requests; all three are empty otherwise.
+    """
 
     records: Tuple[RequestRecord, ...]
     per_chip: Tuple[ServingResult, ...]
     assignments: Tuple[int, ...]
+    fault_events: Tuple[Any, ...] = ()
+    redispatched_ids: Tuple[int, ...] = ()
+    aborted_ids: Tuple[int, ...] = ()
 
     @property
     def report(self) -> ServingReport:
@@ -315,102 +327,6 @@ class FleetSimulator:
         self._estimate_cache[key] = cost
         return cost
 
-    def assign(self, trace: Sequence[ServingRequest]) -> List[int]:
-        """Chip index for every request of the trace, in trace order.
-
-        Assignments are positional, so traces carrying duplicate (caller-
-        supplied) request ids still dispatch every request.
-        """
-        if self.policy == "least_loaded" and self.precompute:
-            self.precompute_service_times(trace)
-        return self._assign(trace)
-
-    def _assign(self, trace: Sequence[ServingRequest]) -> List[int]:
-        """The assignment policy itself (caches assumed warm by callers).
-
-        Drives a stepwise :class:`~repro.serving.dispatch.
-        StaticDispatchController` over the sorted trace — the identical
-        heap/counter arithmetic the live actor runtime applies one
-        arrival message at a time, so both paths assign identically.
-        """
-        # Imported lazily: dispatch builds on this module.
-        from .dispatch import StaticDispatchController, sorted_order
-
-        controller = StaticDispatchController(self)
-        assignments = [0] * len(trace)
-        for index in sorted_order(trace):
-            assignments[index] = controller.on_arrival(index, trace[index])
-        return assignments
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-    def _parallelizable(self, busy: Sequence[ContinuousBatchingSimulator]) -> bool:
-        """Whether the busy chips can be rebuilt faithfully in workers.
-
-        The worker reconstructs each chip as a plain
-        :class:`~repro.core.simulator.PerformanceSimulator` over the chip's
-        system config; a customised ``simulator_factory`` returning a
-        subclass could behave differently, so such fleets fall back to the
-        serial path.
-        """
-        return all(type(chip.simulator) is PerformanceSimulator for chip in busy)
-
-    def _run_shards(
-        self, shards: Sequence[Sequence[ServingRequest]]
-    ) -> List[ServingResult]:
-        """Simulate one shard per chip, serially or across processes.
-
-        Chips are independent once dispatched, so with ``processes`` set
-        the non-empty shards fan out through
-        :class:`~repro.experiments.parallel.ParallelSweepRunner`; every
-        worker rebuilds its chip from picklable state and seeds it with
-        the parent chip's harvested cost memos, producing the bit-identical
-        :class:`~repro.serving.queue.ServingResult` the in-process chip
-        would return.
-        """
-        empty = ServingResult(records=(), peak_batch_size=0, decode_steps=0)
-        busy = [
-            (chip, shard) for chip, shard in zip(self.chips, shards) if shard
-        ]
-        if (
-            self.processes is not None
-            and self.processes > 1
-            and len(busy) > 1
-            and self._parallelizable([chip for chip, _ in busy])
-        ):
-            # Imported lazily: repro.experiments pulls in the experiment
-            # registry, which serving must not depend on at import time.
-            from ..experiments.parallel import ParallelSweepRunner
-
-            runner = ParallelSweepRunner(processes=self.processes, cache=False)
-            outcomes = runner.map(
-                simulate_chip_shard,
-                [
-                    {
-                        "system": chip.simulator.system,
-                        "model": self.model,
-                        "chip_id": chip.chip_id,
-                        "max_batch_size": chip.max_batch_size,
-                        "cc_bandwidth_fraction": chip.cc_bandwidth_fraction,
-                        "context_bucket": chip.cost_model.context_bucket,
-                        "engine": chip.engine,
-                        "shard": list(shard),
-                        "cc_latencies": chip.cc_latencies(),
-                        "bucket_costs": chip.cost_model.bucket_costs(),
-                        "step_cache": chip.cost_model.step_cache(),
-                    }
-                    for chip, shard in busy
-                ],
-            )
-            by_chip = {
-                chip.chip_id: outcome
-                for (chip, _), outcome in zip(busy, outcomes)
-            }
-        else:
-            by_chip = {chip.chip_id: chip.run(list(shard)) for chip, shard in busy}
-        return [by_chip.get(chip.chip_id, empty) for chip in self.chips]
-
     def run(
         self,
         trace: Sequence[ServingRequest],
@@ -421,51 +337,28 @@ class FleetSimulator:
     ) -> FleetResult:
         """Dispatch the trace, simulate every chip and merge the records.
 
-        ``faults`` optionally routes the run through the event-driven
-        degradation path (:func:`repro.serving.faults.
-        run_fleet_with_faults`); ``priorities`` then orders post-fault
-        re-dispatch (a static fleet has no admission control, so
-        priorities only matter under faults).  With ``faults=None`` the
-        historical fault-free path runs unchanged.  ``runtime`` selects
-        the execution plane (see :data:`repro.serving.dispatch.RUNTIMES`):
+        ``faults`` optionally plays the run under a
+        :class:`~repro.serving.faults.FaultSchedule` (``None`` is the
+        empty schedule); ``priorities`` (one positive value per request)
+        then orders post-fault re-dispatch on a static fleet and weights
+        admission on an autoscaled one.  ``runtime`` selects the
+        execution plane (see :data:`repro.serving.dispatch.RUNTIMES`):
+        ``"batch"`` runs :func:`~repro.serving.dispatch.run_batch`,
         ``"live"`` streams the trace through the asyncio actor runtime,
-        producing the bit-identical result.
+        producing the bit-identical result.  Both build their controller
+        through :func:`~repro.serving.dispatch.make_controller`.
         """
-        if runtime != "batch":
-            from .dispatch import RUNTIMES
+        # Imported lazily: dispatch and the runtime build on this module.
+        from .dispatch import RUNTIMES, run_batch
 
-            if runtime not in RUNTIMES:
-                raise ValueError(
-                    f"runtime must be one of {RUNTIMES}, got {runtime!r}"
-                )
-            # Imported lazily: the runtime package builds on this module.
+        if runtime not in RUNTIMES:
+            raise ValueError(
+                f"runtime must be one of {RUNTIMES}, got {runtime!r}"
+            )
+        if runtime == "live":
             from .runtime import run_live
 
             return run_live(
                 self, trace, faults=faults, priorities=priorities
             )
-        if faults is not None:
-            # Imported lazily: faults builds on this module.
-            from .faults import run_fleet_with_faults
-
-            return run_fleet_with_faults(
-                self, trace, faults, priorities=priorities
-            )
-        if not trace:
-            raise ValueError("trace must not be empty")
-        if self.precompute:
-            self.precompute_service_times(trace)
-        assignments = self._assign(trace)
-        shards: List[List[ServingRequest]] = [[] for _ in range(self.n_chips)]
-        for request, chip_id in zip(trace, assignments):
-            shards[chip_id].append(request)
-        per_chip = self._run_shards(shards)
-        records: List[RequestRecord] = []
-        for result in per_chip:
-            records.extend(result.records)
-        records.sort(key=lambda record: record.request_id)
-        return FleetResult(
-            records=tuple(records),
-            per_chip=tuple(per_chip),
-            assignments=tuple(assignments),
-        )
+        return run_batch(self, trace, faults=faults, priorities=priorities)

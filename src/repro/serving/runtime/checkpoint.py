@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
-from ..dispatch import request_to_state
+from ..dispatch import CONTROLLER_KINDS, request_to_state
 from ..queue import ENGINES, ServingRequest
 
 #: Format marker written into every checkpoint file.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -68,8 +68,9 @@ class Checkpoint:
     """A paused live run, frozen at an arrival boundary.
 
     ``kind`` names the controller class that produced ``controller``
-    (``"static"``, ``"autoscale"``, ``"fault_fleet"``,
-    ``"fault_autoscale"``); ``cursor`` counts consumed arrivals in
+    (one of :data:`~repro.serving.dispatch.CONTROLLER_KINDS`:
+    ``"static"``, ``"autoscale"``, ``"fault_autoscale"``); ``cursor``
+    counts consumed arrivals in
     canonical order; ``trace_sha256`` pins the trace; ``scenario``
     (optional) embeds the originating scenario spec's ``to_dict`` data
     plus the engine so scenario checkpoints are self-contained.
@@ -103,8 +104,10 @@ class Checkpoint:
         """Rebuild a checkpoint from :meth:`to_dict` data.
 
         Raises :class:`CheckpointError` on any malformed payload —
-        missing or mistyped fields, an unsupported format version, or an
-        engine outside :data:`~repro.serving.queue.ENGINES`.
+        missing or mistyped fields, an unsupported format version, a
+        controller kind outside
+        :data:`~repro.serving.dispatch.CONTROLLER_KINDS`, or an engine
+        outside :data:`~repro.serving.queue.ENGINES`.
         """
         if not isinstance(data, Mapping):
             raise CheckpointError(
@@ -122,6 +125,12 @@ class Checkpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {version} "
                 f"(this build reads version {CHECKPOINT_VERSION})"
+            )
+        kind = data.get("kind")
+        if kind is not None and kind not in CONTROLLER_KINDS:
+            raise CheckpointError(
+                f"checkpoint controller kind {kind!r} is not supported "
+                f"(supported kinds: {', '.join(CONTROLLER_KINDS)})"
             )
         engine = data.get("engine")
         if engine is not None and engine not in ENGINES:

@@ -277,7 +277,7 @@ def run_scenario_live(
         list(compiled.trace),
         pace=pace,
         pause_after=pause_after,
-        **scenario_run_kwargs(compiled, fleet),
+        **scenario_run_kwargs(compiled),
     )
     if isinstance(outcome, Checkpoint):
         return replace(
@@ -322,7 +322,7 @@ def resume_scenario(
         list(compiled.trace),
         checkpoint,
         pause_after=pause_after,
-        **scenario_run_kwargs(compiled, fleet),
+        **scenario_run_kwargs(compiled),
     )
     if isinstance(outcome, Checkpoint):
         return replace(
@@ -420,7 +420,7 @@ def run_scenario_supervised(
         chaos=chaos,
         supervision=supervision,
         hang_unit_s=hang_unit_s,
-        **scenario_run_kwargs(compiled, fleet),
+        **scenario_run_kwargs(compiled),
     )
     return scenario_report(
         spec, compiled, run.result, incidents=run.incidents

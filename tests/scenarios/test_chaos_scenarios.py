@@ -130,7 +130,7 @@ class TestIncidentSummary:
         compiled = compile_scenario(spec)
         fleet = build_fleet(spec)
         result = fleet.run(
-            list(compiled.trace), **scenario_run_kwargs(compiled, fleet)
+            list(compiled.trace), **scenario_run_kwargs(compiled)
         )
         plain = scenario_report(spec, compiled, result)
         assert plain.incidents is None

@@ -41,7 +41,7 @@ SCENARIOS = available_scenarios()
 POOL = (
     "chat-poisson",  # static
     "edge-kiosk-overload",  # autoscale
-    "chat-chipfail",  # fault_fleet
+    "chat-chipfail",  # static under faults
     "tenant-tiers",  # fault_autoscale
 )
 

@@ -3,7 +3,8 @@
 A checkpoint is the one artifact that crosses process boundaries, so
 every failure mode — truncation, garbage bytes, a foreign JSON shape,
 an unsupported version, missing or mistyped fields, an unsupported
-engine, a wrong trace digest, tampered controller state — must surface as a single
+controller kind or engine, a wrong trace digest, tampered controller
+state — must surface as a single
 :class:`~repro.serving.runtime.checkpoint.CheckpointError` whose
 message names what was wrong, never a hang, a KeyError leak or a
 silently wrong resume.  ``Checkpoint.load`` additionally prefixes the
@@ -86,6 +87,16 @@ CORRUPTIONS = [
         _mutate("engine", "turbo"),
         r"checkpoint engine 'turbo' is not supported \(supported engines: step, wave\)",
         id="unknown-engine",
+    ),
+    pytest.param(
+        _mutate("version", 1),
+        "unsupported checkpoint version 1",
+        id="version-1-static",
+    ),
+    pytest.param(
+        _mutate("kind", "fault_fleet"),
+        r"checkpoint controller kind 'fault_fleet' is not supported",
+        id="legacy-fault-fleet-kind",
     ),
     pytest.param(
         _mutate("engine", "macro"),

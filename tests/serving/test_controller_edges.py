@@ -20,7 +20,7 @@ from repro.serving import (
     RequestSampler,
     build_trace,
 )
-from repro.serving.dispatch import make_controller, run_jobs_inline, sorted_order
+from repro.serving.dispatch import make_controller, run_jobs, sorted_order
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.runtime import resume_live, run_live
 
@@ -285,47 +285,50 @@ class TestFaultAutoscaleBranches:
             if position in (5, 12):
                 previews.append(controller.preview_records())
         controller.finish_events()
-        result = controller.collect(
-            run_jobs_inline(controller.final_jobs())
-        )
+        result = controller.collect(run_jobs(controller.final_jobs()))
         assert result == baseline
         assert len(previews[0]) <= len(previews[1]) <= len(result.records)
 
 
-class TestFaultFleetParkedCheckpoint:
-    def test_checkpoint_during_total_outage(self, model):
+class TestStaticParkedCheckpoint:
+    @pytest.mark.parametrize("outage", [False, True], ids=["no-faults", "outage"])
+    def test_checkpoint_during_total_outage(self, model, outage):
         # Both chips down over a window; pause inside it so the static
-        # fault controller checkpoints with a non-empty parked queue.
+        # controller checkpoints with a non-empty parked queue.  Without
+        # the outage the same controller kind checkpoints with none.
         trace = _trace(13, n=30)
         horizon = max(request.arrival_s for request in trace)
-        schedule = FaultSchedule(
-            events=(
-                FaultEvent(
-                    time_s=horizon * 0.2, kind="chip_down", chip_id=0
-                ),
-                FaultEvent(
-                    time_s=horizon * 0.2, kind="chip_down", chip_id=1
-                ),
-                FaultEvent(
-                    time_s=horizon * 0.8, kind="chip_up", chip_id=0
-                ),
-                FaultEvent(
-                    time_s=horizon * 0.8, kind="chip_up", chip_id=1
-                ),
+        schedule = None
+        if outage:
+            schedule = FaultSchedule(
+                events=(
+                    FaultEvent(
+                        time_s=horizon * 0.2, kind="chip_down", chip_id=0
+                    ),
+                    FaultEvent(
+                        time_s=horizon * 0.2, kind="chip_down", chip_id=1
+                    ),
+                    FaultEvent(
+                        time_s=horizon * 0.8, kind="chip_up", chip_id=0
+                    ),
+                    FaultEvent(
+                        time_s=horizon * 0.8, kind="chip_up", chip_id=1
+                    ),
+                )
             )
-        )
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
         batch = fleet.run(trace, faults=schedule)
         checkpoint = run_live(
             fleet, trace, faults=schedule, pause_after=15
         )
-        assert checkpoint.kind == "fault_fleet"
+        assert checkpoint.kind == "static"
+        assert bool(checkpoint.controller["parked"]) == outage
         resumed = resume_live(fleet, trace, checkpoint, faults=schedule)
         assert resumed == batch
 
     def test_trailing_events_apply_after_the_last_arrival(self, model):
         # A chip_up scheduled past the final arrival reaches the static
-        # fault controller through finish_events, not on_arrival.
+        # controller through finish_events, not on_arrival.
         trace = _trace(13, n=20)
         horizon = max(request.arrival_s for request in trace)
         schedule = FaultSchedule(

@@ -4,10 +4,12 @@ Two families of identity, both asserted with ``==`` on the full record
 tuples (no tolerances — the fault path is bit-identical or broken):
 
 * **fault-free identity** — an empty :class:`FaultSchedule` and uniform
-  priorities must reproduce the legacy simulation exactly, across every
-  engine, both dispatch policies and the autoscaled fleet.  This is what
-  lets the fault machinery ship inside the serving engines without
-  perturbing a single committed golden.
+  priorities must reproduce the fault-free simulation exactly, across
+  every engine, both dispatch policies and the autoscaled fleet; the
+  static fleet's fault-aware controller must also assign like an
+  independent heap/counter oracle.  This is what lets the fault
+  machinery ship inside the serving engines without perturbing a single
+  committed golden.
 * **engine equivalence under faults** — step and wave runs of the
   same faulted trace produce identical records, assignments and scaling
   events.  Era splits are computed from engine-independent prefill
@@ -15,6 +17,7 @@ tuples (no tolerances — the fault path is bit-identical or broken):
   extends to the whole faulted timeline.
 """
 
+import heapq
 import random
 
 import pytest
@@ -29,9 +32,11 @@ from repro.serving import (
     FleetSimulator,
     PoissonArrivals,
     RequestSampler,
+    ServingRequest,
     build_trace,
 )
 from repro.serving.faults import FaultEvent, FaultSchedule
+from repro.serving.fleet import POLICIES
 from repro.serving.queue import ENGINES
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -93,6 +98,81 @@ def _schedule(seed, *, n_chips, span):
     )
     policy = rng.choice(("drain", "abort"))
     return FaultSchedule(events=tuple(events), drain_policy=policy)
+
+
+def _heap_counter_assignments(fleet, trace):
+    """Static dispatch as a round-robin counter and a least-loaded heap.
+
+    An independent oracle for the fault-aware static controller: with no
+    fault events it must assign exactly like this loop.
+    """
+    position = 0
+    heap = [(0.0, chip_id) for chip_id in range(fleet.n_chips)]
+    assignments = [0] * len(trace)
+    order = sorted(
+        range(len(trace)),
+        key=lambda i: (trace[i].arrival_s, trace[i].request_id),
+    )
+    for index in order:
+        request = trace[index]
+        if fleet.policy == "round_robin":
+            chip_id = position % fleet.n_chips
+            position += 1
+        else:
+            horizon, chip_id = heapq.heappop(heap)
+            cost = fleet._estimate_cost_s(fleet.chips[chip_id], request.request)
+            heapq.heappush(
+                heap, (max(horizon, request.arrival_s) + cost, chip_id)
+            )
+        assignments[index] = chip_id
+    return assignments
+
+
+class TestStaticDispatchOracle:
+    @given(
+        seed=seeds,
+        n_chips=st.integers(min_value=1, max_value=4),
+        policy=st.sampled_from(POLICIES),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_assignments_and_records_match_the_oracle(
+        self, model, seed, n_chips, policy
+    ):
+        trace = _trace(seed)
+        fleet = FleetSimulator(
+            model, n_chips=n_chips, policy=policy, max_batch_size=8
+        )
+        result = fleet.run(trace)
+        expected = _heap_counter_assignments(fleet, trace)
+        assert result.assignments == tuple(expected)
+        # Each chip runs its shard in trace order, as plain dispatch did.
+        shards = [[] for _ in range(n_chips)]
+        for request, chip_id in zip(trace, expected):
+            shards[chip_id].append(request)
+        records = sorted(
+            (
+                record
+                for chip, shard in zip(fleet.chips, shards)
+                if shard
+                for record in chip.run(shard).records
+            ),
+            key=lambda record: record.request_id,
+        )
+        assert result.records == tuple(records)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("n_chips", [1, 2, 3, 4])
+    def test_duplicate_request_ids(self, model, n_chips, policy):
+        duplicated = [
+            ServingRequest(request_id=0, arrival_s=r.arrival_s, request=r.request)
+            for r in _trace(2)[:4]
+        ]
+        fleet = FleetSimulator(model, n_chips=n_chips, policy=policy)
+        result = fleet.run(duplicated)
+        assert result.assignments == tuple(
+            _heap_counter_assignments(fleet, duplicated)
+        )
+        assert len(result.records) == len(duplicated)
 
 
 class TestFaultFreeIdentity:

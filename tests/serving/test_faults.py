@@ -32,7 +32,6 @@ from repro.serving.faults import (
     _degraded_chip,
     fault_recovery,
     normalize_priorities,
-    run_fleet_with_faults,
 )
 
 N_REQUESTS = 60
@@ -128,7 +127,7 @@ class TestScheduleValidation:
             events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=5),)
         )
         with pytest.raises(ValueError, match="chip"):
-            run_fleet_with_faults(fleet, list(trace), schedule)
+            fleet.run(list(trace), faults=schedule)
 
 
 class TestDegradedChip:
@@ -155,11 +154,31 @@ class TestNormalizePriorities:
     def test_weights_scale_against_the_maximum(self):
         assert normalize_priorities((1.0, 2.0, 4.0), 3) == [0.25, 0.5, 1.0]
 
-    def test_validates_length_and_positivity(self):
-        with pytest.raises(ValueError, match="entries"):
-            normalize_priorities((1.0,), 2)
+    @pytest.mark.parametrize(
+        "plane", ["normalize", "static", "static-faults", "autoscaled"]
+    )
+    def test_validates_length_and_positivity(self, model, trace, plane):
+        # Every fleet run validates priorities, with or without faults.
+        from repro.serving import AutoscalerConfig, AutoscalingFleetSimulator
+
+        def check(priorities):
+            if plane == "normalize":
+                return normalize_priorities(priorities, len(trace))
+            if plane == "autoscaled":
+                fleet = AutoscalingFleetSimulator(
+                    model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+                )
+            else:
+                fleet = FleetSimulator(model, n_chips=3)
+            faults = FaultSchedule() if plane == "static-faults" else None
+            return fleet.run(
+                list(trace), faults=faults, priorities=priorities
+            )
+
+        with pytest.raises(ValueError, match="2 entries for 60 requests"):
+            check([1.0, 5.0])
         with pytest.raises(ValueError, match="positive"):
-            normalize_priorities((1.0, 0.0), 2)
+            check([1.0] * (len(trace) - 1) + [-5.0])
 
 
 def _random_schedule(rng, *, n_chips, span):
@@ -211,7 +230,7 @@ class TestConservation:
         schedule = _random_schedule(rng, n_chips=3, span=trace[-1].arrival_s)
         policy = rng.choice(("round_robin", "least_loaded"))
         fleet = FleetSimulator(model, n_chips=3, policy=policy, max_batch_size=8)
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         assert sorted(r.request_id for r in result.records) == list(
             range(len(trace))
         )
@@ -234,7 +253,7 @@ class TestConservation:
         fleet = FleetSimulator(
             model, n_chips=3, policy="least_loaded", max_batch_size=8
         )
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         chip_of = dict(zip((r.request_id for r in trace), result.assignments))
         for record in result.records:
             outages = _down_intervals(schedule, chip_of[record.request_id])
@@ -261,7 +280,7 @@ class TestRecoveryMetrics:
         fleet = FleetSimulator(
             model, n_chips=2, policy="least_loaded", max_batch_size=8
         )
-        result = run_fleet_with_faults(fleet, list(trace), schedule)
+        result = fleet.run(list(trace), faults=schedule)
         (metrics,) = fault_recovery(result.records, schedule.events)
         assert metrics.event == down  # chip_up is restorative, not measured
 
@@ -301,7 +320,7 @@ class TestTotalOutage:
             FaultEvent(time_s=round(0.7 * span, 6), kind="chip_up", chip_id=1),
         )
         fleet = FleetSimulator(model, n_chips=2, max_batch_size=8)
-        result = run_fleet_with_faults(fleet, list(trace), FaultSchedule(events))
+        result = fleet.run(list(trace), faults=FaultSchedule(events))
         assert sorted(r.request_id for r in result.records) == list(
             range(len(trace))
         )
@@ -323,12 +342,12 @@ class TestTotalOutage:
         )
         fleet = FleetSimulator(model, n_chips=2, max_batch_size=8)
         with pytest.raises(ValueError, match="never dispatched"):
-            run_fleet_with_faults(fleet, list(trace), FaultSchedule(events))
+            fleet.run(list(trace), faults=FaultSchedule(events))
 
     def test_empty_trace_is_rejected(self, model):
         fleet = FleetSimulator(model, n_chips=2)
         with pytest.raises(ValueError, match="empty"):
-            run_fleet_with_faults(fleet, [], FaultSchedule())
+            fleet.run([], faults=FaultSchedule())
 
     def test_recovery_window_must_be_positive(self):
         with pytest.raises(ValueError, match="window"):
@@ -396,3 +415,92 @@ class TestAutoscaleUnderFaults:
         served = {r.request_id for r in result.records}
         assert served.isdisjoint(result.rejected_ids)
         assert len(served) + len(result.rejected_ids) == len(trace)
+
+
+class TestProcessFanOutUnderFaults:
+    """``processes=`` fans the closing eras out on the fault paths too."""
+
+    @pytest.fixture
+    def fanouts(self, monkeypatch):
+        from repro.experiments.parallel import ParallelSweepRunner
+
+        calls = []
+        original = ParallelSweepRunner.map
+
+        def spy(self, fn, params):
+            calls.append([param["system"] for param in params])
+            return original(self, fn, params)
+
+        monkeypatch.setattr(ParallelSweepRunner, "map", spy)
+        return calls
+
+    def test_static_fleet(self, model, trace, fanouts):
+        import random
+
+        span = trace[-1].arrival_s
+        schedule = _random_schedule(random.Random(3), n_chips=3, span=span)
+        priorities = [1.0 + (index % 3) for index in range(len(trace))]
+
+        def run(processes):
+            fleet = FleetSimulator(
+                model,
+                n_chips=3,
+                policy="least_loaded",
+                max_batch_size=8,
+                processes=processes,
+            )
+            result = fleet.run(
+                list(trace), faults=schedule, priorities=priorities
+            )
+            return fleet, result
+
+        _, serial = run(None)
+        assert fanouts == []
+        fleet, parallel = run(2)
+        assert parallel == serial
+        (systems,) = fanouts
+        assert len(systems) >= 2
+        # The degraded chip's closing era rebuilt on its degraded system.
+        healthy = fleet.chips[0].simulator.system
+        assert any(system != healthy for system in systems)
+
+    def test_autoscaled_fleet(self, model, fanouts):
+        from repro.serving import AutoscalerConfig, AutoscalingFleetSimulator
+
+        trace = build_trace(
+            BurstyArrivals(6.0, burst_multiplier=6.0, seed=13).generate(150),
+            RequestSampler(seed=13).sample(150),
+        )
+        span = trace[-1].arrival_s
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent(
+                    time_s=round(0.4 * span, 6), kind="chip_down", chip_id=0
+                ),
+                FaultEvent(
+                    time_s=round(0.6 * span, 6), kind="chip_up", chip_id=0
+                ),
+            )
+        )
+        config = AutoscalerConfig(
+            target_p99_ttft_s=1.0,
+            max_chips=3,
+            window=16,
+            min_observations=4,
+            cooldown_s=0.5,
+            max_queue_depth=8,
+        )
+
+        def run(processes):
+            fleet = AutoscalingFleetSimulator(
+                model, autoscaler=config, max_batch_size=8,
+                processes=processes,
+            )
+            return fleet.run(trace, faults=schedule)
+
+        serial = run(None)
+        assert fanouts == []
+        parallel = run(2)
+        assert parallel == serial
+        (systems,) = fanouts
+        assert len(systems) >= 2

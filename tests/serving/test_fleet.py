@@ -33,13 +33,13 @@ def trace(model):
 class TestDispatch:
     def test_round_robin_cycles_chips(self, model, trace):
         fleet = FleetSimulator(model, n_chips=3, policy="round_robin")
-        assignments = fleet.assign(trace)
-        expected = [index % 3 for index in range(len(trace))]
+        assignments = fleet.run(trace).assignments
+        expected = tuple(index % 3 for index in range(len(trace)))
         assert assignments == expected
 
     def test_least_loaded_uses_every_chip(self, model, trace):
         fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")
-        assignments = fleet.assign(trace)
+        assignments = fleet.run(trace).assignments
         assert set(assignments) == {0, 1, 2, 3}
 
     def test_duplicate_request_ids_still_dispatch_everywhere(self, model, trace):
@@ -48,7 +48,7 @@ class TestDispatch:
             for r in trace[:4]
         ]
         fleet = FleetSimulator(model, n_chips=2, policy="round_robin")
-        assignments = fleet.assign(duplicated)
+        assignments = fleet.run(duplicated).assignments
         assert sorted(assignments) == [0, 0, 1, 1]
 
     def test_rejects_unknown_policy(self, model):
@@ -110,7 +110,9 @@ class TestEstimateMemo:
             return prefill + per_token * request.output_tokens
 
         uncached._estimate_cost_s = recompute
-        assert memoized.assign(trace) == uncached.assign(trace)
+        assert (
+            memoized.run(trace).assignments == uncached.run(trace).assignments
+        )
         # The memo actually engaged, and only with (chip, shape) keys —
         # the heap probes one chip per request, so at most chips x shapes.
         shapes = {
@@ -126,7 +128,7 @@ class TestEstimateMemo:
 
     def test_cached_estimate_equals_fresh_computation(self, model, trace):
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
-        fleet.assign(trace)
+        fleet.run(trace)
         chip = fleet.chips[0]
         for request in {r.request for r in trace}:
             cached = fleet._estimate_cost_s(chip, request)
@@ -188,8 +190,11 @@ class TestParallelChips:
         assert rebuilt.peak_batch_size == direct.peak_batch_size
         assert rebuilt.decode_steps == direct.decode_steps
 
-    def test_custom_simulator_factories_fall_back_to_serial(self, model, trace):
+    def test_custom_simulator_factories_fall_back_to_serial(
+        self, model, trace, monkeypatch
+    ):
         from repro.core.simulator import PerformanceSimulator
+        from repro.experiments.parallel import ParallelSweepRunner
 
         class TracingSimulator(PerformanceSimulator):
             pass
@@ -198,10 +203,19 @@ class TestParallelChips:
             model, n_chips=2, processes=2,
             simulator_factory=TracingSimulator,
         )
-        assert not fleet._parallelizable(fleet.chips)
         plain = FleetSimulator(model, n_chips=2, processes=2)
+        expected = plain.run(trace).records
+        fanouts = []
+        original = ParallelSweepRunner.map
+
+        def spy(self, fn, params):
+            fanouts.append(len(params))
+            return original(self, fn, params)
+
+        monkeypatch.setattr(ParallelSweepRunner, "map", spy)
         result = fleet.run(trace)
-        assert result.records == plain.run(trace).records
+        assert fanouts == []
+        assert result.records == expected
 
     def test_rejects_bad_process_count(self, model):
         with pytest.raises(ValueError):

@@ -70,11 +70,11 @@ class TestFleetPrecompute:
                 lazy.cost_model.step_latency_s([context])
             )
 
-    def test_assign_alone_still_precomputes_for_least_loaded(self):
+    def test_run_precomputes_for_least_loaded(self):
         model = get_mllm("sphinx-tiny")
         trace = make_trace()
         fleet = FleetSimulator(model, n_chips=2, policy="least_loaded")
-        fleet.assign(trace)
+        fleet.run(trace)
         assert any(
             fleet.chips[0].has_cc_latency(
                 (r.request.images, r.request.prompt_text_tokens)
@@ -93,7 +93,7 @@ class TestHeapDispatch:
         model = get_mllm("sphinx-tiny")
         trace = make_trace(seed=11, n=60)
         fleet = FleetSimulator(model, n_chips=4, policy="least_loaded")
-        assignments = fleet.assign(trace)
+        assignments = list(fleet.run(trace).assignments)
 
         # Reference: the original O(chips) scan per request.
         reference_fleet = FleetSimulator(

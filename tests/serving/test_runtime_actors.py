@@ -22,10 +22,10 @@ from repro.serving import (
     build_trace,
 )
 from repro.serving.dispatch import (
-    StaticDispatchController,
     make_controller,
     request_from_state,
     request_to_state,
+    run_jobs,
     sorted_order,
 )
 from repro.serving.faults import FaultEvent, FaultSchedule
@@ -194,8 +194,8 @@ class TestSupervisor:
         trace = _trace(7, n=10)
 
         async def session():
-            controller = StaticDispatchController(
-                FleetSimulator(model, n_chips=2)
+            controller = make_controller(
+                FleetSimulator(model, n_chips=2), trace
             )
             supervisor = SupervisorActor(controller, 2)
             supervisor.start()
@@ -215,11 +215,11 @@ class TestSupervisor:
 
 
 class TestPreviewPurity:
-    @pytest.mark.parametrize("kind", ["static", "fault_fleet"])
-    def test_preview_does_not_perturb_the_run(self, model, kind):
+    @pytest.mark.parametrize("faulted", [False, True], ids=["no-faults", "faults"])
+    def test_preview_does_not_perturb_the_run(self, model, faulted):
         trace = _trace(9, n=20)
         faults = None
-        if kind == "fault_fleet":
+        if faulted:
             horizon = max(r.arrival_s for r in trace)
             faults = FaultSchedule(
                 events=(
@@ -235,7 +235,7 @@ class TestPreviewPurity:
         baseline = fleet.run(trace, faults=faults)
 
         controller = make_controller(fleet, trace, faults=faults)
-        assert controller.kind == kind
+        assert controller.kind == "static"
         order = sorted_order(trace)
         previews = []
         for position, index in enumerate(order):
@@ -243,11 +243,7 @@ class TestPreviewPurity:
             if position in (5, 12):
                 previews.append(controller.preview_records())
         controller.finish_events()
-        from repro.serving.dispatch import run_jobs_inline
-
-        result = controller.collect(
-            run_jobs_inline(controller.final_jobs())
-        )
+        result = controller.collect(run_jobs(controller.final_jobs()))
         assert result == baseline
         # Previews are monotone snapshots: non-decreasing record counts.
         assert len(previews[0]) <= len(previews[1]) <= len(result.records)

@@ -27,10 +27,18 @@ from hypothesis import strategies as st
 from repro.models.mllm import get_mllm
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import run_scenario
-from repro.serving import FleetSimulator, PoissonArrivals, RequestSampler, build_trace
+from repro.serving import (
+    AutoscalerConfig,
+    AutoscalingFleetSimulator,
+    FleetSimulator,
+    PoissonArrivals,
+    RequestSampler,
+    build_trace,
+)
 from repro.serving.faults import FaultEvent, FaultSchedule
 from repro.serving.queue import DEFAULT_ENGINE
 from repro.serving.runtime import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     resume_live,
     resume_scenario,
@@ -44,7 +52,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 POOL = (
     "chat-poisson",  # static
     "edge-kiosk-overload",  # autoscale
-    "chat-chipfail",  # fault_fleet
+    "chat-chipfail",  # static under faults
     "tenant-tiers",  # fault_autoscale
 )
 
@@ -142,7 +150,7 @@ class TestCheckpointFormat:
         assert checkpoint.engine == DEFAULT_ENGINE
         assert checkpoint.cursor == 10
         data = json.loads(checkpoint.to_json())
-        assert data["version"] == 1
+        assert data["version"] == CHECKPOINT_VERSION
         assert Checkpoint.from_dict(data) == checkpoint
 
     def test_unsupported_version_rejected(self):
@@ -217,10 +225,26 @@ class TestFleetLevelGuards:
         trace = self._trace(7)
         fleet = FleetSimulator(model, n_chips=2)
         checkpoint = run_live(fleet, trace, pause_after=5)
+        autoscaled = AutoscalingFleetSimulator(
+            model, autoscaler=AutoscalerConfig(target_p99_ttft_s=1.0)
+        )
         with pytest.raises(ValueError, match="controller"):
-            resume_live(
-                fleet, trace, checkpoint, faults=FaultSchedule()
-            )
+            resume_live(autoscaled, trace, checkpoint)
+
+    def test_fault_schedule_mismatch_rejected(self, model):
+        # Faulted and fault-free static runs share the "static" kind, so
+        # the schedule itself guards the resume.
+        trace = self._trace(7)
+        fleet = FleetSimulator(model, n_chips=2)
+        checkpoint = run_live(fleet, trace, pause_after=5)
+        assert resume_live(
+            fleet, trace, checkpoint, faults=FaultSchedule()
+        ) == fleet.run(trace)
+        outage = FaultSchedule(
+            events=(FaultEvent(time_s=1.0, kind="chip_down", chip_id=0),)
+        )
+        with pytest.raises(ValueError, match="different fault schedule"):
+            resume_live(fleet, trace, checkpoint, faults=outage)
 
     def test_scenarioless_checkpoint_needs_resume_live(self, model):
         trace = self._trace(7)
