@@ -118,15 +118,6 @@ def price_offered_load(
     )
 
 
-def scenario_run_kwargs(compiled: CompiledScenario) -> dict:
-    """The ``faults``/``priorities`` kwargs a compiled scenario's run takes.
-
-    Shared by the batch and live execution planes so both route through
-    :func:`~repro.serving.dispatch.make_controller` identically.
-    """
-    return {"faults": compiled.faults, "priorities": compiled.priorities}
-
-
 def run_scenario(
     spec: ScenarioSpec, *, engine: str = DEFAULT_ENGINE, runtime: str = "batch"
 ) -> ScenarioReport:
@@ -161,7 +152,8 @@ def run_scenario(
     result = fleet.run(
         list(compiled.trace),
         runtime=runtime,
-        **scenario_run_kwargs(compiled),
+        faults=compiled.faults,
+        priorities=compiled.priorities,
     )
     return scenario_report(spec, compiled, result)
 
@@ -244,6 +236,5 @@ __all__ = [
     "price_offered_load",
     "run_scenario",
     "scenario_report",
-    "scenario_run_kwargs",
     "format_scenario_report",
 ]

@@ -312,10 +312,12 @@ class StaticDispatchController:
         #: Alive chip ids in id order, updated on fault events only.
         self.alive = self.ledger.alive_ids()
         self.rr_position = 0
-        self.parked: List[Tuple[int, float, bool]] = []
+        #: ``(index, eff_arrival_s, sid)`` awaiting a ``chip_up``; ``sid``
+        #: is the first-dispatch id, ``None`` for a displaced request.
+        self.parked: List[Tuple[int, float, Optional[int]]] = []
         self.n_seen = 0
 
-    def _dispatch(self, index: int, eff: float, fresh: bool) -> int:
+    def _dispatch(self, index: int, eff: float, sid: Optional[int]) -> int:
         alive = self.alive
         horizons = self.horizons
         if self.round_robin:
@@ -329,10 +331,12 @@ class StaticDispatchController:
         floor = ledger.states[chip_id].floor
         if floor > eff:
             eff = floor
-        cost = ledger.estimate(chip_id, self.trace[index].request)
-        horizon = horizons[chip_id]
-        horizons[chip_id] = (eff if eff > horizon else horizon) + cost
-        ledger.place(chip_id, index, eff, fresh)
+        if not self.round_robin:
+            # Only least-loaded reads the horizons, so only it prices work.
+            cost = ledger.estimate(chip_id, self.trace[index].request)
+            horizon = horizons[chip_id]
+            horizons[chip_id] = (eff if eff > horizon else horizon) + cost
+        ledger.place(chip_id, index, eff, sid)
         return chip_id
 
     def _apply(self, event: FaultEvent) -> None:
@@ -343,22 +347,25 @@ class StaticDispatchController:
                 self.ledger.states[event.chip_id].floor
             )
             flush, self.parked = self.parked, []
-            for index, eff, fresh in flush:
-                self._dispatch(index, max(eff, event.time_s), fresh)
+            for index, eff, sid in flush:
+                self._dispatch(index, max(eff, event.time_s), sid)
         for entry in _pool_order(pool, self.trace, self.weights):
             if not self.alive:
-                self.parked.append((entry.index, entry.eff_arrival_s, False))
+                self.parked.append((entry.index, entry.eff_arrival_s, None))
                 continue
             self._dispatch(
-                entry.index, max(entry.eff_arrival_s, event.time_s), False
+                entry.index, max(entry.eff_arrival_s, event.time_s), None
             )
 
     def on_arrival(self, index: int, request: ServingRequest) -> int:
         """Apply due fault events, then dispatch (or park) one arrival.
 
-        Returns the assigned chip id, or ``-1`` when every chip is down
-        and the request parks until a ``chip_up``.
+        The arrival runs under its rank in the arrival order as its
+        run-time id, so a chip breaks ties on equal arrival times in
+        dispatch order.  Returns the assigned chip id, or ``-1`` when
+        every chip is down and the request parks until a ``chip_up``.
         """
+        sid = self.n_seen
         self.n_seen += 1
         arrival = request.arrival_s
         events = self.schedule.events
@@ -369,9 +376,9 @@ class StaticDispatchController:
             self._apply(events[self.event_pos])
             self.event_pos += 1
         if not self.alive:
-            self.parked.append((index, arrival, True))
+            self.parked.append((index, arrival, sid))
             return -1
-        return self._dispatch(index, arrival, True)
+        return self._dispatch(index, arrival, sid)
 
     def finish_events(self) -> None:
         """Apply trailing fault events; raise if requests stayed parked."""
@@ -425,9 +432,7 @@ class StaticDispatchController:
             "event_pos": self.event_pos,
             "rr_position": self.rr_position,
             "horizons": list(self.horizons),
-            "parked": [
-                [index, eff, fresh] for index, eff, fresh in self.parked
-            ],
+            "parked": [list(entry) for entry in self.parked],
             "ledger": self.ledger.state_dict(),
         }
 
@@ -444,8 +449,8 @@ class StaticDispatchController:
         self.rr_position = int(state["rr_position"])
         self.horizons = [float(h) for h in state["horizons"]]
         self.parked = [
-            (int(index), float(eff), bool(fresh))
-            for index, eff, fresh in state["parked"]
+            (int(index), float(eff), None if sid is None else int(sid))
+            for index, eff, sid in state["parked"]
         ]
         self.ledger.restore_state(state["ledger"])
         self.alive = self.ledger.alive_ids()

@@ -450,7 +450,11 @@ def _degraded_chip(
 
 
 class _FaultLedger:
-    """Dispatch/era bookkeeping shared by both fault-path loops."""
+    """Dispatch/era bookkeeping of the static and fault-aware autoscale loops.
+
+    ``origin`` maps every run-time id a chip simulates back to its trace
+    position.
+    """
 
     def __init__(
         self,
@@ -472,11 +476,10 @@ class _FaultLedger:
     def restored(self, record: RequestRecord) -> RequestRecord:
         """``record`` under its trace request's own id and arrival.
 
-        A synthetic id maps back to its trace position through
-        ``origin`` (first dispatches run under the position itself).
+        The run-time id maps back to its trace position through
+        ``origin``.
         """
-        sid = record.request_id
-        source = self.trace[self.origin.get(sid, sid)]
+        source = self.trace[self.origin[record.request_id]]
         if (
             record.request_id == source.request_id
             and record.arrival_s == source.arrival_s
@@ -486,20 +489,20 @@ class _FaultLedger:
             record, request_id=source.request_id, arrival_s=source.arrival_s
         )
 
-    def place(self, chip_id: int, index: int, eff: float, fresh: bool) -> None:
+    def place(
+        self, chip_id: int, index: int, eff: float, sid: Optional[int]
+    ) -> None:
         """Dispatch trace position ``index`` onto ``chip_id`` at ``eff``.
 
-        First dispatches keep the trace position as their synthetic id
-        (the same positional-id contract the autoscaler's replay uses);
-        re-dispatches allocate a fresh id past the trace length so a
+        A first dispatch runs under the run-time id ``sid`` its
+        controller picks (below the trace length); a re-dispatch passes
+        ``None`` and allocates a fresh id past the trace length, so a
         request displaced twice stays unambiguous.
         """
-        if fresh:
-            sid = index
-        else:
+        if sid is None:
             sid = self.next_sid
             self.next_sid += 1
-            self.origin[sid] = index
+        self.origin[sid] = index
         self.states[chip_id].entries.append(
             _Entry(
                 sid=sid,
@@ -633,7 +636,9 @@ class _FaultLedger:
 
         return {
             "next_sid": self.next_sid,
-            "origin": sorted(self.origin.items()),
+            "origin": [
+                [sid, index] for sid, index in sorted(self.origin.items())
+            ],
             "redispatched": list(self.redispatched),
             "aborted": list(self.aborted),
             "assignments": list(self.assignments),
@@ -822,7 +827,9 @@ class FaultAutoscaleController:
         self.ttft_window.append(start + prefill + first_step - observe_from)
         self.horizons[chip_id] = start + cost
         heapq.heappush(self.inflight, self.horizons[chip_id])
-        self.ledger.place(chip_id, index, eff, fresh)
+        # First dispatches run under their trace position, the positional-id
+        # contract the plain autoscaler's replay uses.
+        self.ledger.place(chip_id, index, eff, index if fresh else None)
 
     def _apply(self, event: FaultEvent) -> None:
         pool = self.ledger.apply_event(event)

@@ -82,12 +82,13 @@ class FleetResult:
     """Outcome of a fleet simulation: merged records plus per-chip results.
 
     ``records`` carry the trace's request ids and arrivals; ``per_chip``
-    is the raw chip-level view, whose records carry the positional ids
-    (and, after a re-dispatch, the fresh ids and delayed arrivals) the
-    chips actually simulated.  ``assignments`` holds each request's final
-    chip.  Under a fault schedule, ``fault_events`` is the applied
-    timeline and ``redispatched_ids`` / ``aborted_ids`` account for the
-    displaced requests; all three are empty otherwise.
+    is the raw chip-level view, whose records carry the run-time ids
+    the chips actually simulated — each request's rank in arrival order
+    or, after a re-dispatch, a fresh id and delayed arrival.
+    ``assignments`` holds each request's final chip.  Under a fault
+    schedule, ``fault_events`` is the applied timeline and
+    ``redispatched_ids`` / ``aborted_ids`` account for the displaced
+    requests; all three are empty otherwise.
     """
 
     records: Tuple[RequestRecord, ...]

@@ -264,11 +264,7 @@ def run_scenario_live(
     """
     # Imported lazily: scenarios builds on the serving package.
     from ...scenarios.compile import compile_scenario
-    from ...scenarios.runner import (
-        build_fleet,
-        scenario_report,
-        scenario_run_kwargs,
-    )
+    from ...scenarios.runner import build_fleet, scenario_report
 
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec, engine=engine)
@@ -277,7 +273,8 @@ def run_scenario_live(
         list(compiled.trace),
         pace=pace,
         pause_after=pause_after,
-        **scenario_run_kwargs(compiled),
+        faults=compiled.faults,
+        priorities=compiled.priorities,
     )
     if isinstance(outcome, Checkpoint):
         return replace(
@@ -301,11 +298,7 @@ def resume_scenario(
     """
     # Imported lazily: scenarios builds on the serving package.
     from ...scenarios.compile import compile_scenario
-    from ...scenarios.runner import (
-        build_fleet,
-        scenario_report,
-        scenario_run_kwargs,
-    )
+    from ...scenarios.runner import build_fleet, scenario_report
     from ...scenarios.spec import ScenarioSpec
 
     if checkpoint.scenario is None:
@@ -322,7 +315,8 @@ def resume_scenario(
         list(compiled.trace),
         checkpoint,
         pause_after=pause_after,
-        **scenario_run_kwargs(compiled),
+        faults=compiled.faults,
+        priorities=compiled.priorities,
     )
     if isinstance(outcome, Checkpoint):
         return replace(
@@ -395,11 +389,7 @@ def run_scenario_supervised(
     """
     # Imported lazily: scenarios builds on the serving package.
     from ...scenarios.compile import compile_chaos_schedule, compile_scenario
-    from ...scenarios.runner import (
-        build_fleet,
-        scenario_report,
-        scenario_run_kwargs,
-    )
+    from ...scenarios.runner import build_fleet, scenario_report
 
     compiled = compile_scenario(spec)
     fleet = build_fleet(spec, engine=engine)
@@ -420,7 +410,8 @@ def run_scenario_supervised(
         chaos=chaos,
         supervision=supervision,
         hang_unit_s=hang_unit_s,
-        **scenario_run_kwargs(compiled),
+        faults=compiled.faults,
+        priorities=compiled.priorities,
     )
     return scenario_report(
         spec, compiled, run.result, incidents=run.incidents

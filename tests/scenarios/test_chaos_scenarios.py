@@ -124,13 +124,15 @@ class TestIncidentSummary:
         assert len(data["timeline"]) == 3
 
     def test_report_block_is_conditional(self):
-        from repro.scenarios.runner import build_fleet, scenario_run_kwargs
+        from repro.scenarios.runner import build_fleet
 
         spec = get_scenario("chat-poisson")
         compiled = compile_scenario(spec)
         fleet = build_fleet(spec)
         result = fleet.run(
-            list(compiled.trace), **scenario_run_kwargs(compiled)
+            list(compiled.trace),
+            faults=compiled.faults,
+            priorities=compiled.priorities,
         )
         plain = scenario_report(spec, compiled, result)
         assert plain.incidents is None

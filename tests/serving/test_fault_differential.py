@@ -3,13 +3,14 @@
 Two families of identity, both asserted with ``==`` on the full record
 tuples (no tolerances — the fault path is bit-identical or broken):
 
-* **fault-free identity** — an empty :class:`FaultSchedule` and uniform
-  priorities must reproduce the fault-free simulation exactly, across
-  every engine, both dispatch policies and the autoscaled fleet; the
-  static fleet's fault-aware controller must also assign like an
-  independent heap/counter oracle.  This is what lets the fault
-  machinery ship inside the serving engines without perturbing a single
-  committed golden.
+* **fault-free identity** — with no fault events the static controller
+  must assign and simulate like an independent heap/counter oracle
+  (every engine, both dispatch policies, 1–4 chips, tied arrivals under
+  ids that are not trace positions), and an empty :class:`FaultSchedule`
+  and uniform priorities must reproduce the autoscaled fleet's
+  fault-free run exactly.  This is what lets the fault machinery ship
+  inside the serving engines without perturbing a single committed
+  golden.
 * **engine equivalence under faults** — step and wave runs of the
   same faulted trace produce identical records, assignments and scaling
   events.  Era splits are computed from engine-independent prefill
@@ -128,28 +129,13 @@ def _heap_counter_assignments(fleet, trace):
     return assignments
 
 
-class TestStaticDispatchOracle:
-    @given(
-        seed=seeds,
-        n_chips=st.integers(min_value=1, max_value=4),
-        policy=st.sampled_from(POLICIES),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_assignments_and_records_match_the_oracle(
-        self, model, seed, n_chips, policy
-    ):
-        trace = _trace(seed)
-        fleet = FleetSimulator(
-            model, n_chips=n_chips, policy=policy, max_batch_size=8
-        )
-        result = fleet.run(trace)
-        expected = _heap_counter_assignments(fleet, trace)
-        assert result.assignments == tuple(expected)
-        # Each chip runs its shard in trace order, as plain dispatch did.
-        shards = [[] for _ in range(n_chips)]
-        for request, chip_id in zip(trace, expected):
-            shards[chip_id].append(request)
-        records = sorted(
+def _oracle_records(fleet, trace, assignments):
+    """Each chip runs its shard in trace order, as plain dispatch did."""
+    shards = [[] for _ in range(fleet.n_chips)]
+    for request, chip_id in zip(trace, assignments):
+        shards[chip_id].append(request)
+    return tuple(
+        sorted(
             (
                 record
                 for chip, shard in zip(fleet.chips, shards)
@@ -158,42 +144,81 @@ class TestStaticDispatchOracle:
             ),
             key=lambda record: record.request_id,
         )
-        assert result.records == tuple(records)
+    )
 
+
+def _duplicate_id_trace():
+    return [
+        ServingRequest(request_id=0, arrival_s=r.arrival_s, request=r.request)
+        for r in _trace(2)[:4]
+    ]
+
+
+def _shuffled_tie_trace():
+    """Groups of four equal arrivals whose ids run against trace order.
+
+    Some chip always holds a tie, which it must break by request id as
+    the oracle's chips do.
+    """
+    base = _trace(3, n=16)
+    ids = random.Random(3).sample(range(100, 116), 16)
+    return [
+        ServingRequest(
+            request_id=ids[i],
+            arrival_s=base[i - i % 4].arrival_s,
+            request=base[i].request,
+        )
+        for i in range(16)
+    ]
+
+
+class TestStaticDispatchOracle:
+    @given(
+        seed=seeds,
+        n_chips=st.integers(min_value=1, max_value=4),
+        policy=st.sampled_from(POLICIES),
+        engine=st.sampled_from(ENGINES),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_assignments_and_records_match_the_oracle(
+        self, model, seed, n_chips, policy, engine
+    ):
+        trace = _trace(seed)
+        fleet = FleetSimulator(
+            model,
+            n_chips=n_chips,
+            policy=policy,
+            max_batch_size=8,
+            engine=engine,
+        )
+        result = fleet.run(trace)
+        expected = _heap_counter_assignments(fleet, trace)
+        assert result.assignments == tuple(expected)
+        assert result.records == _oracle_records(fleet, trace, expected)
+        assert result.redispatched_ids == ()
+        assert result.aborted_ids == ()
+
+    @pytest.mark.parametrize(
+        "make_trace",
+        [_duplicate_id_trace, _shuffled_tie_trace],
+        ids=["duplicate-ids", "shuffled-tied-ids"],
+    )
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("n_chips", [1, 2, 3, 4])
-    def test_duplicate_request_ids(self, model, n_chips, policy):
-        duplicated = [
-            ServingRequest(request_id=0, arrival_s=r.arrival_s, request=r.request)
-            for r in _trace(2)[:4]
-        ]
-        fleet = FleetSimulator(model, n_chips=n_chips, policy=policy)
-        result = fleet.run(duplicated)
-        assert result.assignments == tuple(
-            _heap_counter_assignments(fleet, duplicated)
+    def test_ids_that_are_not_positions(
+        self, model, n_chips, policy, make_trace
+    ):
+        trace = make_trace()
+        fleet = FleetSimulator(
+            model, n_chips=n_chips, policy=policy, max_batch_size=2
         )
-        assert len(result.records) == len(duplicated)
+        result = fleet.run(trace)
+        expected = _heap_counter_assignments(fleet, trace)
+        assert result.assignments == tuple(expected)
+        assert result.records == _oracle_records(fleet, trace, expected)
 
 
 class TestFaultFreeIdentity:
-    @given(seed=seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_static_fleet_empty_schedule_is_the_legacy_run(self, model, seed):
-        trace = _trace(seed)
-        rng = random.Random(seed)
-        policy = rng.choice(("round_robin", "least_loaded"))
-        engine = rng.choice(ENGINES)
-        legacy = FleetSimulator(
-            model, n_chips=3, policy=policy, max_batch_size=8, engine=engine
-        ).run(trace)
-        faulted = FleetSimulator(
-            model, n_chips=3, policy=policy, max_batch_size=8, engine=engine
-        ).run(trace, faults=FaultSchedule())
-        assert faulted.records == legacy.records
-        assert faulted.assignments == legacy.assignments
-        assert faulted.redispatched_ids == ()
-        assert faulted.aborted_ids == ()
-
     @given(seed=seeds)
     @settings(max_examples=6, deadline=None)
     def test_autoscaled_empty_schedule_and_uniform_priorities(self, model, seed):

@@ -177,8 +177,9 @@ class TestNormalizePriorities:
 
         with pytest.raises(ValueError, match="2 entries for 60 requests"):
             check([1.0, 5.0])
-        with pytest.raises(ValueError, match="positive"):
-            check([1.0] * (len(trace) - 1) + [-5.0])
+        for bad in (0.0, -5.0):
+            with pytest.raises(ValueError, match="positive"):
+                check([1.0] * (len(trace) - 1) + [bad])
 
 
 def _random_schedule(rng, *, n_chips, span):
